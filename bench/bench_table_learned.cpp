@@ -36,24 +36,6 @@ const std::map<std::string, double> kPaperBestFixedM = {
     {"s5378", 0.77},
 };
 
-/// Runs \p body under a fresh scoped obs window and returns the window's
-/// counters — the same pattern the serve daemon and vcomp_stitch --row use,
-/// so the captured counters are thread-count invariant by the same
-/// contract.
-template <typename Body>
-obs::CounterSet scoped_counters(Body&& body) {
-  const std::uint64_t token = util::new_task_token();
-  obs::Registry::instance().begin_scope(token);
-  {
-    const util::ScopedTaskContext scope(util::TaskContext{token, nullptr});
-    body();
-  }
-  obs::CounterSet counters =
-      obs::Registry::instance().snapshot_scope(token).counters_only();
-  obs::Registry::instance().end_scope(token);
-  return counters;
-}
-
 }  // namespace
 
 int main() {
@@ -91,7 +73,7 @@ int main() {
       benchutil::Stopwatch sw;
       benchutil::TimedResult tr;
       const obs::CounterSet counters =
-          scoped_counters([&] { tr.result = lab.run(opts); });
+          obs::scoped_counters([&] { tr.result = lab.run(opts); });
       tr.seconds = sw.seconds();
       emit("adi", tr, counters);
       std::fprintf(stderr, "[learned] %s adi done in %.1fs\n",
@@ -109,7 +91,7 @@ int main() {
       benchutil::Stopwatch sw;
       benchutil::TimedResult tr;
       core::GaResult gr;
-      const obs::CounterSet counters = scoped_counters([&] {
+      const obs::CounterSet counters = obs::scoped_counters([&] {
         gr = core::evolve_schedule(lab, opts, gopts);
         tr.result = lab.run(core::apply_ga_schedule(opts, gr));
       });

@@ -66,7 +66,7 @@ struct StitchOptions {
   /// single-chain fabric (byte-identical to the former single-chain flow).
   std::size_t num_chains = 1;
   /// DFF → chain partition policy (see scan::partition_from_env for the
-  /// VCOMP_PARTITION override used by the CLI and bench drivers).
+  /// VCOMP_PARTITION override the table benches use).
   scan::PartitionPolicy partition = scan::PartitionPolicy::RoundRobin;
   /// Seed for PartitionPolicy::SeededRandom.
   std::uint64_t partition_seed = 0;

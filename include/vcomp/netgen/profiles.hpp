@@ -12,6 +12,7 @@
 /// rationale.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,8 @@ struct CircuitProfile {
 
 /// Profile by benchmark name ("s444" ... "s38584"); throws on unknown names.
 CircuitProfile profile(const std::string& name);
+/// Like profile(), but nullopt for an unknown name.
+std::optional<CircuitProfile> find_profile(const std::string& name);
 
 /// Like profile(), but with the gate-budget cap lifted: s38417 and s38584
 /// get their original combinational gate counts (22179 / 19253) instead of

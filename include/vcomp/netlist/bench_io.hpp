@@ -13,20 +13,20 @@
 /// line).  The reader produces a finalized Netlist.
 
 #include <iosfwd>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 
 #include "vcomp/netlist/netlist.hpp"
+#include "vcomp/util/assert.hpp"
 
 namespace vcomp::netlist {
 
 /// Parse error with 1-based line information.
-class BenchParseError : public std::runtime_error {
+class BenchParseError : public InputError {
  public:
   BenchParseError(std::size_t line, const std::string& what)
-      : std::runtime_error("bench parse error at line " +
-                           std::to_string(line) + ": " + what),
+      : InputError("bench parse error at line " + std::to_string(line) +
+                   ": " + what),
         line_(line) {}
   std::size_t line() const { return line_; }
 
@@ -40,7 +40,7 @@ Netlist read_bench(std::istream& in);
 /// Convenience overload for in-memory text.
 Netlist read_bench_string(std::string_view text);
 
-/// Reads a .bench file from disk.
+/// Reads a .bench file from disk (InputError when it cannot be opened).
 Netlist read_bench_file(const std::string& path);
 
 /// Serializes a finalized netlist to .bench text (stable, re-parseable).

@@ -20,19 +20,19 @@
 /// optional, as in primitive instantiations.
 
 #include <iosfwd>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 
 #include "vcomp/netlist/netlist.hpp"
+#include "vcomp/util/assert.hpp"
 
 namespace vcomp::netlist {
 
-class VerilogParseError : public std::runtime_error {
+class VerilogParseError : public InputError {
  public:
   VerilogParseError(std::size_t line, const std::string& what)
-      : std::runtime_error("verilog parse error at line " +
-                           std::to_string(line) + ": " + what),
+      : InputError("verilog parse error at line " + std::to_string(line) +
+                   ": " + what),
         line_(line) {}
   std::size_t line() const { return line_; }
 

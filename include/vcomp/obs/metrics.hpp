@@ -28,6 +28,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -218,6 +219,14 @@ class Registry {
   Registry();
   ~Registry() = delete;  // leaked singleton: outlives thread-exit hooks
 };
+
+/// Runs \p body under a fresh task token (util::new_task_token) with its own
+/// counter window, and returns the window's deterministic counters: the
+/// begin_scope / snapshot_scope / end_scope sequence in one place.  \p cap
+/// bounds the pool workers the body's parallel loops recruit (nullptr =
+/// uncapped).  The window is closed on every exit path.
+CounterSet scoped_counters(const std::function<void()>& body,
+                           const std::atomic<std::size_t>* cap = nullptr);
 
 /// Shorthands for function-local static handles at instrumentation sites.
 inline Counter counter(std::string_view name) {

@@ -10,11 +10,10 @@
 ///   {"op":"ping"}
 ///   {"op":"shutdown"}
 ///
-/// `config` mirrors the vcomp_stitch flags key for key (see DESIGN.md §11
-/// for the full grammar): chains, partition, partition_seed, shift, info,
-/// selection, atpg, capture, hxor, seed, max_cycles, full_scale,
-/// progress_every.  Unknown keys are rejected — a typo must not silently
-/// run the default configuration.
+/// `config` holds the job keys of serve/job.hpp, the same table the
+/// vcomp_stitch flags come from (see DESIGN.md §11 for the full grammar).
+/// Unknown keys are rejected — in `config` and at the top level of a
+/// submit — so a typo never silently runs the default configuration.
 ///
 /// Events emitted by the daemon (one per line):
 ///
@@ -34,19 +33,10 @@
 
 #include "vcomp/core/stitch_engine.hpp"
 #include "vcomp/obs/metrics.hpp"
+#include "vcomp/serve/job.hpp"
 #include "vcomp/serve/json.hpp"
 
 namespace vcomp::serve {
-
-/// One stitching job as submitted over the wire.
-struct JobSpec {
-  std::string id;            ///< client-chosen job id (echoed in events)
-  std::string circuit;       ///< gen:<profile> or a netlist file path
-  bool full_scale = false;   ///< lift the netgen gate budget (gen: only)
-  double info = 0.0;         ///< >0: fixed shift at this Table-2 info point
-  std::size_t progress_every = 0;  ///< emit progress every N cycles (0=off)
-  core::StitchOptions options;     ///< on_cycle left empty; server fills it
-};
 
 struct Request {
   enum class Op { Submit, Status, Ping, Shutdown };
@@ -59,9 +49,8 @@ struct Request {
 std::optional<Request> parse_request(const std::string& line,
                                      std::string& error);
 
-/// Applies one config object onto \p spec (the key-for-key mirror of the
-/// vcomp_stitch flags).  Returns false + \p error on unknown keys or bad
-/// values.
+/// Applies one config object onto \p spec through set_job_key().  Returns
+/// false + \p error on unknown keys or bad values.
 bool apply_config(const Json& config, JobSpec& spec, std::string& error);
 
 /// Display label of a job's circuit: the spec itself, with "#full"

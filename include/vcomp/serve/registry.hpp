@@ -70,11 +70,10 @@ class ArtifactRegistry {
   /// Entries still being built are never evicted.
   explicit ArtifactRegistry(std::size_t budget = 0);
 
-  /// Resolves a circuit spec: "gen:<profile>" synthesizes the netgen
-  /// circuit (with \p full_scale lifting the gate-budget cap), anything
-  /// else is read as a .bench (or .v/.sv) file.  Spec → hash resolutions
-  /// are memoized so a cached gen: circuit is not regenerated just to
-  /// recompute its hash.  Throws on unknown profiles / unreadable files.
+  /// Resolves a circuit spec through serve::load_circuit (which throws
+  /// InputError on a bad circuit).  Spec → hash resolutions are memoized
+  /// so a cached gen: circuit is not regenerated just to recompute its
+  /// hash.
   LabRef lab_for_spec(const std::string& spec, bool full_scale);
 
   /// Registers an already-parsed netlist (e.g. from a test).

@@ -10,17 +10,14 @@
 ///  * its own runner thread (jobs never run on the process thread pool —
 ///    the parallel primitives run inline on pool workers, which would
 ///    serialize jobs against each other and deadlock the malleable caps);
-///  * a fresh scope token and a private parallelism cap: the runner
-///    executes `lab->run()` under a util::TaskContext{token, &cap}, and
-///    the server retunes every running job's cap to the fair share
+///  * a private parallelism cap, retuned to the fair share
 ///    pool_parallelism / running_jobs whenever a job starts or finishes.
 ///    Caps only change how many pool workers a loop recruits; the standing
 ///    determinism contract makes reallocation points unobservable in any
 ///    computed value;
-///  * a scoped obs metrics window (Registry::begin_scope / snapshot_scope /
-///    end_scope) opened around exactly the `run()` call, so the job's
-///    counter row matches its standalone `vcomp_stitch --row` invocation
-///    byte for byte, cache hit or miss.
+///  * the runner `vcomp_stitch` uses, serve::run_spec (serve/job.hpp),
+///    so its row matches the standalone CLI's byte for byte, cache hit or
+///    miss.
 ///
 /// Concurrency is bounded by ServeOptions::max_active_jobs (the
 /// VCOMP_SERVE_THREADS knob): excess submissions queue inside their runner
@@ -83,7 +80,6 @@ class Server {
   struct Job {
     JobSpec spec;
     Sink sink;
-    std::uint64_t token = 0;
     std::atomic<std::size_t> cap{1};
     std::thread runner;
   };

@@ -18,6 +18,15 @@ class ContractError : public std::logic_error {
   using std::logic_error::logic_error;
 };
 
+/// Error thrown for bad user input: a job key or value, a circuit name, a
+/// netlist file, a size the circuit cannot hold.  Unlike ContractError (a
+/// bug in the library or its caller), the message is meant for the user
+/// and is shown as is by the CLI and the serve daemon.
+class InputError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 namespace detail {
 [[noreturn]] inline void contract_fail(const char* kind, const char* expr,
                                        const char* file, int line,

@@ -30,11 +30,16 @@ const CircuitProfile kProfiles[] = {
 
 }  // namespace
 
-CircuitProfile profile(const std::string& name) {
+std::optional<CircuitProfile> find_profile(const std::string& name) {
   for (const auto& p : kProfiles)
     if (p.name == name) return p;
-  VCOMP_REQUIRE(false, "unknown circuit profile: " + name);
-  return {};
+  return std::nullopt;
+}
+
+CircuitProfile profile(const std::string& name) {
+  const std::optional<CircuitProfile> p = find_profile(name);
+  VCOMP_REQUIRE(p.has_value(), "unknown circuit profile: " + name);
+  return *p;
 }
 
 CircuitProfile full_scale_profile(const std::string& name) {

@@ -193,7 +193,7 @@ Netlist read_bench_string(std::string_view text) {
 
 Netlist read_bench_file(const std::string& path) {
   std::ifstream in(path);
-  VCOMP_REQUIRE(in.good(), "cannot open bench file: " + path);
+  if (!in.good()) throw InputError("cannot open bench file: " + path);
   return read_bench(in);
 }
 

@@ -114,7 +114,8 @@ Netlist read_verilog(std::istream& in) {
     return pos < tokens.size() ? tokens[pos] : eof;
   };
   auto next = [&]() -> const Token& {
-    VCOMP_REQUIRE(pos < tokens.size(), "unexpected end of verilog input");
+    if (pos >= tokens.size())
+      throw VerilogParseError(0, "unexpected end of input");
     return tokens[pos++];
   };
   auto expect = [&](const std::string& what) {
@@ -253,7 +254,7 @@ Netlist read_verilog_string(std::string_view text) {
 
 Netlist read_verilog_file(const std::string& path) {
   std::ifstream in(path);
-  VCOMP_REQUIRE(in.good(), "cannot open verilog file: " + path);
+  if (!in.good()) throw InputError("cannot open verilog file: " + path);
   return read_verilog(in);
 }
 

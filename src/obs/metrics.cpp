@@ -576,4 +576,24 @@ void Registry::end_scope(std::uint64_t) {}
 
 #endif  // VCOMP_OBS_DISABLED
 
+CounterSet scoped_counters(const std::function<void()>& body,
+                           const std::atomic<std::size_t>* cap) {
+  Registry& reg = Registry::instance();
+  const std::uint64_t token = util::new_task_token();
+  reg.begin_scope(token);
+  try {
+    // The scoped context rides onto every pool worker body() recruits; the
+    // parallel primitives join before returning, so once body() returns no
+    // worker still carries this token and the snapshot is complete.
+    const util::ScopedTaskContext scope(util::TaskContext{token, cap});
+    body();
+  } catch (...) {
+    reg.end_scope(token);
+    throw;
+  }
+  CounterSet counters = reg.snapshot_scope(token).counters_only();
+  reg.end_scope(token);
+  return counters;
+}
+
 }  // namespace vcomp::obs

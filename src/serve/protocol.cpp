@@ -1,99 +1,18 @@
 #include "vcomp/serve/protocol.hpp"
 
-#include <cstdio>
-
-#include "vcomp/scan/fabric.hpp"
+#include "vcomp/util/assert.hpp"
 
 namespace vcomp::serve {
 
-namespace {
-
-bool fail(std::string& error, std::string msg) {
-  error = std::move(msg);
-  return false;
-}
-
-bool to_size(const Json& v, std::size_t& out) {
-  if (v.kind() != Json::Kind::Int || v.as_int() < 0) return false;
-  out = static_cast<std::size_t>(v.as_int());
-  return true;
-}
-
-bool to_u64(const Json& v, std::uint64_t& out) {
-  if (v.kind() != Json::Kind::Int || v.as_int() < 0) return false;
-  out = static_cast<std::uint64_t>(v.as_int());
-  return true;
-}
-
-}  // namespace
-
 bool apply_config(const Json& config, JobSpec& spec, std::string& error) {
-  if (!config.is_object()) return fail(error, "config must be an object");
-  for (const auto& [key, v] : config.members()) {
-    if (key == "chains") {
-      if (!to_size(v, spec.options.num_chains) ||
-          spec.options.num_chains == 0)
-        return fail(error, "chains must be a positive integer");
-    } else if (key == "partition") {
-      if (!v.is_string() ||
-          !scan::partition_from_string(v.as_string(),
-                                       spec.options.partition))
-        return fail(error,
-                    "partition must be round-robin | contiguous | random");
-    } else if (key == "partition_seed") {
-      if (!to_u64(v, spec.options.partition_seed))
-        return fail(error, "partition_seed must be a non-negative integer");
-    } else if (key == "shift") {
-      if (!to_size(v, spec.options.fixed_shift))
-        return fail(error, "shift must be a non-negative integer");
-    } else if (key == "info") {
-      if (!v.is_number() || v.as_double() <= 0.0 || v.as_double() > 1.0)
-        return fail(error, "info must be a number in (0,1]");
-      spec.info = v.as_double();
-    } else if (key == "selection") {
-      if (!v.is_string()) return fail(error, "selection must be a string");
-      const std::string& s = v.as_string();
-      if (s == "random") spec.options.selection = core::SelectionPolicy::Random;
-      else if (s == "hardness")
-        spec.options.selection = core::SelectionPolicy::Hardness;
-      else if (s == "most-faults")
-        spec.options.selection = core::SelectionPolicy::MostFaults;
-      else if (s == "adi")
-        spec.options.selection = core::SelectionPolicy::Adi;
-      else
-        return fail(error,
-                    "selection must be random | hardness | most-faults | adi");
-    } else if (key == "atpg") {
-      if (!v.is_string() ||
-          !atpg::engine_kind_from_string(v.as_string(),
-                                         spec.options.atpg_engine))
-        return fail(error, "atpg must be podem | sat | race");
-    } else if (key == "capture") {
-      if (!v.is_string()) return fail(error, "capture must be a string");
-      const std::string& c = v.as_string();
-      if (c == "vxor") spec.options.capture = scan::CaptureMode::VXor;
-      else if (c == "normal") spec.options.capture = scan::CaptureMode::Normal;
-      else return fail(error, "capture must be normal | vxor");
-    } else if (key == "hxor") {
-      if (!to_size(v, spec.options.hxor_taps))
-        return fail(error, "hxor must be a non-negative integer");
-    } else if (key == "seed") {
-      if (!to_u64(v, spec.options.seed))
-        return fail(error, "seed must be a non-negative integer");
-    } else if (key == "max_cycles") {
-      if (!to_size(v, spec.options.max_cycles))
-        return fail(error, "max_cycles must be a non-negative integer");
-    } else if (key == "full_scale") {
-      if (!v.is_bool()) return fail(error, "full_scale must be a boolean");
-      spec.full_scale = v.as_bool();
-    } else if (key == "progress_every") {
-      if (!to_size(v, spec.progress_every))
-        return fail(error, "progress_every must be a non-negative integer");
-    } else {
-      return fail(error, "unknown config key: " + key);
-    }
+  try {
+    if (!config.is_object()) throw InputError("config must be an object");
+    for (const auto& [key, v] : config.members()) set_job_key(spec, key, v);
+    return true;
+  } catch (const InputError& e) {
+    error = e.what();
+    return false;
   }
-  return true;
 }
 
 std::optional<Request> parse_request(const std::string& line,
@@ -127,6 +46,11 @@ std::optional<Request> parse_request(const std::string& line,
     return std::nullopt;
   }
   req.op = Request::Op::Submit;
+  for (const auto& [key, v] : doc->members())
+    if (key != "op" && key != "id" && key != "circuit" && key != "config") {
+      error = "unknown submit key: " + key + " (job keys go in \"config\")";
+      return std::nullopt;
+    }
   const Json* id = doc->find("id");
   if (id == nullptr || !id->is_string() || id->as_string().empty()) {
     error = "submit requires a non-empty string \"id\"";

@@ -4,10 +4,8 @@
 #include <cstdio>
 #include <utility>
 
-#include "vcomp/netgen/netgen.hpp"
-#include "vcomp/netgen/profiles.hpp"
-#include "vcomp/netlist/bench_io.hpp"
-#include "vcomp/netlist/verilog_io.hpp"
+#include "vcomp/serve/job.hpp"
+#include "vcomp/serve/protocol.hpp"
 #include "vcomp/util/assert.hpp"
 #include "vcomp/util/parallel.hpp"
 
@@ -174,22 +172,9 @@ ArtifactRegistry::LabRef ArtifactRegistry::get_or_build(
 
 ArtifactRegistry::LabRef ArtifactRegistry::lab_for_spec(const std::string& spec,
                                                         bool full_scale) {
-  const bool generated = spec.rfind("gen:", 0) == 0;
-  VCOMP_REQUIRE(generated || !full_scale,
-                "full_scale only applies to gen:<profile> specs");
-  const std::string memo_key = full_scale ? spec + "#full" : spec;
-
-  auto make_netlist = [&]() -> netlist::Netlist {
-    if (generated) {
-      const std::string name = spec.substr(4);
-      return netgen::generate(full_scale ? netgen::full_scale_profile(name)
-                                         : netgen::profile(name));
-    }
-    const bool verilog =
-        (spec.size() > 2 && spec.rfind(".v") == spec.size() - 2) ||
-        (spec.size() > 3 && spec.rfind(".sv") == spec.size() - 3);
-    return verilog ? netlist::read_verilog_file(spec)
-                   : netlist::read_bench_file(spec);
+  const std::string memo_key = circuit_label(spec, full_scale);
+  auto build = [&memo_key](netlist::Netlist nl) {
+    return std::make_shared<const core::CircuitLab>(memo_key, std::move(nl));
   };
 
   // Spec → hash memo: a repeat spec goes straight to the cache key, so a
@@ -201,37 +186,29 @@ ArtifactRegistry::LabRef ArtifactRegistry::lab_for_spec(const std::string& spec,
     if (it != spec_memo_.end()) {
       const NetlistHash h = it->second;
       lk.unlock();  // get_or_build re-takes the mutex itself
-      return get_or_build(h, [&memo_key, &make_netlist] {
-        return std::make_shared<const core::CircuitLab>(memo_key,
-                                                        make_netlist());
-      });
+      return get_or_build(
+          h, [&] { return build(load_circuit(spec, full_scale)); });
     }
   }
 
   // First sighting: materialize the netlist to learn its hash, under the
   // ambient scope so a job's counters never include circuit synthesis.
   const util::ScopedTaskContext ambient({});
-  netlist::Netlist nl = make_netlist();
+  netlist::Netlist nl = load_circuit(spec, full_scale);
   const NetlistHash h = canonical_netlist_hash(nl);
   {
     const std::lock_guard<std::mutex> lk(m_);
     spec_memo_[memo_key] = h;
   }
-  auto holder = std::make_shared<netlist::Netlist>(std::move(nl));
-  return get_or_build(h, [&memo_key, holder] {
-    return std::make_shared<const core::CircuitLab>(memo_key,
-                                                    std::move(*holder));
-  });
+  return get_or_build(h, [&] { return build(std::move(nl)); });
 }
 
 ArtifactRegistry::LabRef ArtifactRegistry::lab_for_netlist(
     std::string name, netlist::Netlist nl) {
   const NetlistHash h = canonical_netlist_hash(nl);
-  auto holder = std::make_shared<netlist::Netlist>(std::move(nl));
-  auto name_holder = std::make_shared<std::string>(std::move(name));
-  return get_or_build(h, [holder, name_holder] {
-    return std::make_shared<const core::CircuitLab>(std::move(*name_holder),
-                                                    std::move(*holder));
+  return get_or_build(h, [&] {
+    return std::make_shared<const core::CircuitLab>(std::move(name),
+                                                    std::move(nl));
   });
 }
 

@@ -1,13 +1,12 @@
 #include "vcomp/serve/server.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <stdexcept>
 #include <utility>
 
-#include "vcomp/core/experiment.hpp"
-#include "vcomp/obs/metrics.hpp"
+#include "vcomp/util/assert.hpp"
 #include "vcomp/util/parallel.hpp"
 
 namespace vcomp::serve {
@@ -100,10 +99,6 @@ bool Server::handle_line(const std::string& line, const Sink& sink) {
   job->sink = sink;
   if (job->spec.progress_every == 0) job->spec.progress_every = progress_every_;
   Job* j = job.get();
-  // Process-global token: scoped metric sinks fold lazily on token
-  // change, so a token must never be reused — not even across Server
-  // instances in one process (the bench's cold mode builds many).
-  job->token = util::new_task_token();
   {
     const std::lock_guard<std::mutex> lk(jobs_m_);
     ++queued_;
@@ -133,58 +128,23 @@ void Server::run_job(Job& job) {
   std::string result_line;
   try {
     // Artifact resolution runs under the registry's ambient scope — the
-    // job's counter window opens strictly around run() below.
+    // job's counter window opens strictly around the stitched run.
     const ArtifactRegistry::LabRef lab =
         registry_.lab_for_spec(job.spec.circuit, job.spec.full_scale);
-
-    core::StitchOptions opts = job.spec.options;
-    if (job.spec.info > 0.0 &&
-        !core::apply_info_ratio(opts, lab->netlist(), job.spec.info))
-      throw std::runtime_error("info point unattainable for this circuit");
-
-    if (job.spec.progress_every > 0) {
-      const std::size_t every = job.spec.progress_every;
-      const std::string id = job.spec.id;
-      const Sink sink = job.sink;
-      opts.on_cycle = [this, every, id, sink](std::size_t cycle,
-                                              const core::CycleStats& st) {
-        if (cycle % every != 0) return;
-        std::string out = "{\"event\":\"progress\",\"id\":";
-        append_json_string(out, id);
-        out += ",\"cycle\":" + std::to_string(cycle);
-        out += ",\"caught_shift\":" + std::to_string(st.caught_at_shift);
-        out += ",\"caught_po\":" + std::to_string(st.caught_at_po);
-        out += ",\"hidden\":" + std::to_string(st.hidden_after);
-        out += '}';
-        emit(sink, out);
-      };
-    }
-
-    obs::Registry& reg = obs::Registry::instance();
-    reg.begin_scope(job.token);
-    core::StitchResult result;
-    {
-      // The scoped context rides onto every pool worker run() recruits;
-      // run_on_pool joins before returning, so once run() returns no
-      // worker still carries this token and the snapshot is complete.
-      const util::ScopedTaskContext scope(
-          util::TaskContext{job.token, &job.cap});
-      result = lab->run(opts);
-    }
-    const obs::CounterSet counters =
-        reg.snapshot_scope(job.token).counters_only();
-    reg.end_scope(job.token);
-
-    const std::string label =
-        circuit_label(job.spec.circuit, job.spec.full_scale);
-    std::string out = "{\"event\":\"result\",\"id\":";
-    append_json_string(out, job.spec.id);
-    out += ",\"row\":";
-    out += result_row(label, result, counters);
-    out += '}';
-    result_line = std::move(out);
+    const JobRun run = run_spec(
+        *lab, job.spec,
+        [this, &job](const std::string& line) { emit(job.sink, line); },
+        &job.cap);
+    result_line = "{\"event\":\"result\",\"id\":";
+    append_json_string(result_line, job.spec.id);
+    result_line += ",\"row\":" + run.row + '}';
+  } catch (const ContractError& e) {
+    // A broken internal invariant, not bad input: the client learns that
+    // it happened, the operator gets the detail.
+    std::fprintf(stderr, "vcomp_serve: job %s: %s\n", job.spec.id.c_str(),
+                 e.what());
+    result_line = event_error(job.spec.id, "internal error");
   } catch (const std::exception& e) {
-    obs::Registry::instance().end_scope(job.token);
     result_line = event_error(job.spec.id, e.what());
   }
 

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "vcomp/atpg/podem.hpp"
 #include "vcomp/fault/collapse.hpp"
 #include "vcomp/fault/fault_sim.hpp"
@@ -22,8 +25,11 @@ using fault::DiffSim;
 using sim::Trit;
 using sim::Word;
 
+// The circuit name is a std::string, not a const char*: gtest prints a
+// pointer parameter by address, which would put a per-process value into
+// the test's name.
 class ConstrainedPodem : public ::testing::TestWithParam<
-                             std::tuple<const char*, std::uint64_t>> {};
+                             std::tuple<std::string, std::uint64_t>> {};
 
 TEST_P(ConstrainedPodem, VerdictsVerifiedBySimulation) {
   const auto [name, seed] = GetParam();

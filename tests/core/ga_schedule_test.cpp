@@ -85,16 +85,9 @@ TEST(GaSchedule, CacheCountsRealEvalsOnly) {
 
 TEST(GaSchedule, ObsCountersMatchResult) {
   const CircuitLab lab("fig1", netgen::example_circuit());
-  const std::uint64_t token = util::new_task_token();
-  obs::Registry::instance().begin_scope(token);
   GaResult r;
-  {
-    const util::ScopedTaskContext scope(util::TaskContext{token, nullptr});
-    r = evolve_schedule(lab, {}, small_ga(7));
-  }
-  const auto counters =
-      obs::Registry::instance().snapshot_scope(token).counters_only();
-  obs::Registry::instance().end_scope(token);
+  const obs::CounterSet counters = obs::scoped_counters(
+      [&] { r = evolve_schedule(lab, {}, small_ga(7)); });
   std::uint64_t evals = 0, generations = 0;
   for (const auto& [name, value] : counters.values) {
     if (name == "ga.evals") evals = value;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "vcomp/netgen/example_circuit.hpp"
 #include "vcomp/netgen/netgen.hpp"
 #include "vcomp/util/rng.hpp"
@@ -46,8 +49,10 @@ TEST(Tracker, HxorCatchesHeadDifferenceEarlier) {
 
 // Property walk: drive the tracker with random stitched vectors and check
 // the structural invariants of the paper's fault-set machine every cycle.
+// std::string, not const char*, so the printed parameter (and with it the
+// test's name) carries no per-process pointer address.
 class TrackerWalk
-    : public ::testing::TestWithParam<std::tuple<const char*, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int, int>> {};
 
 TEST_P(TrackerWalk, InvariantsHoldEveryCycle) {
   const auto [name, capture_int, taps] = GetParam();

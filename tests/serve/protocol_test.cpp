@@ -1,6 +1,15 @@
 #include "vcomp/serve/protocol.hpp"
 
+#include <algorithm>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "vcomp/serve/job.hpp"
+#include "vcomp/util/assert.hpp"
 
 namespace vcomp::serve {
 namespace {
@@ -79,6 +88,193 @@ TEST(Protocol, RejectsUnknownConfigKeyAndBadValues) {
                              R"("config":{"selection":"best"}})",
                              err)
                    .has_value());
+}
+
+TEST(Protocol, RejectsUnknownTopLevelSubmitKeys) {
+  std::string err;
+  EXPECT_FALSE(parse_request(R"({"op":"submit","id":"a",)"
+                             R"("circuit":"gen:s444","chains":-1})",
+                             err)
+                   .has_value());
+  EXPECT_NE(err.find("chains"), std::string::npos);
+  EXPECT_NE(err.find("config"), std::string::npos);  // the hint
+}
+
+/// A job key's value in both spellings: the CLI token (nullptr for the
+/// boolean flag, which takes none) and the JSON member value.
+struct KeyCase {
+  const char* key;
+  const char* cli;
+  const char* json;
+};
+
+/// The spec `--<key> <cli>` gives; the error text if it is rejected.
+std::string spec_from_cli(const KeyCase& c, JobSpec& spec) {
+  std::string flag = std::string("--") + c.key;
+  std::replace(flag.begin(), flag.end(), '_', '-');
+  std::vector<std::string> args = {flag};
+  if (c.cli != nullptr) args.emplace_back(c.cli);
+  try {
+    std::size_t i = 0;
+    EXPECT_TRUE(apply_job_flag(args, i, spec)) << flag;
+    EXPECT_EQ(i, args.size() - 1) << flag;
+  } catch (const InputError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// The spec `{"<key>":<json>}` gives; the error text if it is rejected.
+std::string spec_from_json(const KeyCase& c, JobSpec& spec) {
+  const std::string config = std::string("{\"") + c.key + "\":" + c.json + "}";
+  const std::optional<Json> doc = Json::parse(config);
+  EXPECT_TRUE(doc.has_value()) << config;
+  std::string err;
+  if (!doc || apply_config(*doc, spec, err)) return "";
+  EXPECT_FALSE(err.empty());
+  return err;
+}
+
+/// Every field a job key can set, rendered for comparison.
+std::string fields(const JobSpec& s) {
+  const core::StitchOptions& o = s.options;
+  std::ostringstream out;
+  out << s.full_scale << ' ' << s.info << ' ' << s.ga_shift << ' '
+      << s.ga.population << ' ' << s.ga.generations << ' ' << s.ga.genes
+      << ' ' << s.progress_every << ' ' << o.num_chains << ' '
+      << int(o.partition) << ' ' << o.partition_seed << ' ' << o.fixed_shift
+      << ' ' << int(o.selection) << ' ' << int(o.atpg_engine) << ' '
+      << int(o.capture) << ' ' << o.hxor_taps << ' ' << o.seed << ' '
+      << o.max_cycles;
+  return out.str();
+}
+
+// One accepted value per key that differs from its default, plus the
+// other spellings of shift.
+const KeyCase kAccepted[] = {
+    {"chains", "4", "4"},
+    {"partition", "contiguous", "\"contiguous\""},
+    {"partition_seed", "9", "9"},
+    {"shift", "12", "12"},
+    {"shift", "ga", "\"ga\""},
+    {"info", "0.875", "0.875"},
+    {"ga_pop", "4", "4"},
+    {"ga_gens", "2", "2"},
+    {"ga_genes", "4", "4"},
+    {"selection", "adi", "\"adi\""},
+    {"atpg", "sat", "\"sat\""},
+    {"capture", "vxor", "\"vxor\""},
+    {"hxor", "3", "3"},
+    {"seed", "5", "5"},
+    {"max_cycles", "100", "100"},
+    {"full_scale", nullptr, "true"},
+    {"progress_every", "8", "8"},
+};
+
+TEST(JobKeys, CliAndJsonSpellingsGiveIdenticalSpecs) {
+  std::set<std::string> covered;
+  for (const KeyCase& c : kAccepted) {
+    JobSpec from_cli, from_json;
+    EXPECT_EQ(spec_from_cli(c, from_cli), "") << c.key;
+    EXPECT_EQ(spec_from_json(c, from_json), "") << c.key;
+    EXPECT_EQ(fields(from_cli), fields(from_json)) << c.key;
+    EXPECT_NE(fields(from_cli), fields(JobSpec{})) << c.key << " had no effect";
+    covered.insert(c.key);
+  }
+  // A key added to the table must get a case here: the usage text has
+  // one line per key.
+  const std::string usage = job_flags_usage();
+  EXPECT_EQ(std::size_t(std::count(usage.begin(), usage.end(), '\n')),
+            covered.size());
+  for (std::string key : covered) {
+    std::replace(key.begin(), key.end(), '_', '-');
+    EXPECT_NE(usage.find("  --" + key + ' '), std::string::npos) << key;
+  }
+
+  // shift var undoes shift ga and a fixed size alike.
+  JobSpec s;
+  set_job_key(s, "shift", Json::string("ga"));
+  set_job_key(s, "shift", Json::string("var"));
+  EXPECT_EQ(fields(s), fields(JobSpec{}));
+}
+
+TEST(JobKeys, BadValuesGetOneMessageOnBothSurfaces) {
+  const std::pair<KeyCase, const char*> kRejected[] = {
+      {{"chains", "0", "0"}, "chains must be a positive integer"},
+      {{"chains", "abc", "\"abc\""}, "chains must be a positive integer"},
+      {{"chains", "-1", "-1"}, "chains must be a positive integer"},
+      {{"chains", "2.5", "2.5"}, "chains must be a positive integer"},
+      {{"partition", "zigzag", "\"zigzag\""},
+       "partition must be round-robin | contiguous | random"},
+      {{"partition_seed", "x", "\"x\""},
+       "partition_seed must be a non-negative integer"},
+      {{"shift", "fast", "\"fast\""},
+       "shift must be a non-negative integer, \"var\" or \"ga\""},
+      {{"shift", "-3", "-3"},
+       "shift must be a non-negative integer, \"var\" or \"ga\""},
+      {{"info", "2", "2"}, "info must be a number in (0,1]"},
+      {{"info", "0", "0"}, "info must be a number in (0,1]"},
+      {{"ga_pop", "0", "0"}, "ga_pop must be an integer >= 3"},
+      {{"ga_pop", "2", "2"}, "ga_pop must be an integer >= 3"},
+      {{"ga_gens", "x", "\"x\""}, "ga_gens must be a non-negative integer"},
+      {{"ga_genes", "0", "0"}, "ga_genes must be a positive integer"},
+      {{"selection", "best", "\"best\""},
+       "selection must be random | hardness | most-faults | adi"},
+      {{"atpg", "magic", "\"magic\""}, "atpg must be podem | sat | race"},
+      {{"capture", "hxor", "\"hxor\""}, "capture must be normal | vxor"},
+      {{"hxor", "x", "\"x\""}, "hxor must be a non-negative integer"},
+      {{"seed", "x", "\"x\""}, "seed must be a non-negative integer"},
+      {{"seed", "-1", "-1"}, "seed must be a non-negative integer"},
+      {{"max_cycles", "-1", "-1"},
+       "max_cycles must be a non-negative integer"},
+      {{"progress_every", "x", "\"x\""},
+       "progress_every must be a non-negative integer"},
+  };
+  for (const auto& [c, message] : kRejected) {
+    JobSpec a, b;
+    EXPECT_EQ(spec_from_cli(c, a), message) << c.key << " " << c.cli;
+    EXPECT_EQ(spec_from_json(c, b), message) << c.key << " " << c.json;
+  }
+  // The boolean key has no CLI value to get wrong.
+  JobSpec s;
+  EXPECT_EQ(spec_from_json({"full_scale", nullptr, "1"}, s),
+            "full_scale must be a boolean");
+}
+
+TEST(JobKeys, GaShiftExcludesInfoInEitherOrder) {
+  const std::string message = "shift ga and info are mutually exclusive";
+  std::string err;
+  for (const char* config : {R"({"shift":"ga","info":0.5})",
+                             R"({"info":0.5,"shift":"ga"})"}) {
+    JobSpec s;
+    EXPECT_FALSE(apply_config(*Json::parse(config), s, err)) << config;
+    EXPECT_EQ(err, message);
+  }
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--shift", "ga", "--info", "0.5"},
+        std::vector<std::string>{"--info", "0.5", "--shift", "ga"}}) {
+    JobSpec s;
+    try {
+      for (std::size_t i = 0; i < args.size(); ++i) apply_job_flag(args, i, s);
+      ADD_FAILURE() << "accepted " << args[0];
+    } catch (const InputError& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  }
+}
+
+TEST(JobKeys, CliFlagEdgeCases) {
+  JobSpec s;
+  std::size_t i = 0;
+  // Tokens that name no job key are left to the caller.
+  for (const char* token : {"--out", "gen:s444", "--chians", "-h"}) {
+    const std::vector<std::string> args = {token, "1"};
+    EXPECT_FALSE(apply_job_flag(args, i, s)) << token;
+    EXPECT_EQ(i, 0u);
+  }
+  const std::vector<std::string> args = {"--chains"};
+  EXPECT_THROW(apply_job_flag(args, i, s), InputError);
+  EXPECT_THROW(set_job_key(s, "chians", Json::integer(4)), InputError);
 }
 
 TEST(Protocol, CircuitLabel) {

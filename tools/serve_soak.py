@@ -116,8 +116,9 @@ def main():
     # The big ones go first: the full-scale profiles get the whole window.
     if not args.no_big:
         for name, chains in (("s38417", 4), ("s38584", 2)):
-            big_spec = {"circuit": "gen:" + name, "full_scale": True,
-                        "config": {"chains": chains, "seed": 3}}
+            big_spec = {"circuit": "gen:" + name,
+                        "config": {"chains": chains, "seed": 3,
+                                   "full_scale": True}}
             submit("big-" + name, big_spec)
             submitted["big-" + name] = json.dumps(big_spec, sort_keys=True)
 

@@ -1,125 +1,56 @@
 // vcomp_stitch — command-line front end for the stitching flow.
 //
-// Reads an ISCAS89 .bench netlist (or synthesizes a netgen profile via
-// gen:<name>), generates the full-shift baseline and a stitched test
-// program, reports the compression, and optionally writes the test
-// program in the schedule text format (see schedule_io.hpp).
+// Reads a netlist (.bench, structural Verilog .v / .sv, or gen:<profile>
+// for a synthesized netgen circuit), generates the full-shift baseline and
+// a stitched test program, reports the compression, and optionally writes
+// the test program in the schedule text format (see schedule_io.hpp).
 //
-// Usage:
-//   vcomp_stitch <netlist.bench | gen:profile> [options]
-//     --out <file>        write the stitched test program
-//     --shift <n|ga|var>  fixed shift size <n>; "var" = the escalating
-//                         variable policy (the default); "ga" = evolve a
-//                         per-cycle shift schedule with the genetic search
-//                         (core/ga_schedule) and apply the winner.
-//                         VCOMP_SHIFT sets the default when the flag is
-//                         absent
-//     --info <r>          fixed shift at info point r in (0,1]
-//     --ga-pop <n>        GA population size (default 12)
-//     --ga-gens <n>       GA generations (default 8)
-//     --ga-genes <n>      GA chromosome length (default 10)
-//     --chains <n>        split the scan fabric into n parallel chains
-//                         (default 1: the classic single-chain flow)
-//     --partition <p>     round-robin (default) | contiguous | random
-//                         DFF→chain assignment; VCOMP_PARTITION sets the
-//                         default when the flag is absent
-//     --partition-seed <n> seed for --partition random
-//     --full-scale        lift the netgen gate-budget cap on gen:s38417 /
-//                         gen:s38584 (original gate counts; slower)
-//     --selection <s>     random | hardness | most-faults (default) | adi
-//                         (ascending Accidental Detection Index order);
-//                         VCOMP_SELECTION sets the default when the flag
-//                         is absent
-//     --atpg <e>          podem | sat | race constrained-ATPG engine
-//                         (default: VCOMP_ATPG, else podem; race runs
-//                         PODEM first and falls through to the built-in
-//                         CDCL SAT backend on Aborted)
-//     --capture <c>       normal (default) | vxor
-//     --hxor <taps>       horizontal-XOR scan-out with <taps> taps
-//     --seed <n>          run seed
-//     --threads <n>       worker threads (default: VCOMP_THREADS or all
-//                         hardware threads; results are identical for any
-//                         thread count)
-//     --profile           print the per-phase wall-clock breakdown of the
-//                         stitched run (PODEM, scoring, shift, classify,
-//                         hidden advance, terminal) with throughput
-//     --row <file>        write the canonical single-line result row ("-"
-//                         for stdout): Table-2 quantities plus the run's
-//                         scoped obs counters, byte-identical to the row
-//                         the vcomp_serve daemon emits for the same job
-//     --metrics <file>    write the merged obs metrics snapshot (counters,
-//                         gauges, histograms, timings) as JSON
-//     --trace <file>      capture scoped spans and write Chrome-trace JSON
-//                         (load in chrome://tracing or Perfetto)
-//
-// Exit code 0 iff coverage is fully preserved.
+// `--help` lists the options.  The job options are the key table of
+// serve/job.hpp, the vcomp_serve "config" grammar, and the job runs
+// through the daemon's serve::run_spec, so `--row` writes its row.
+// Exit code: 0 iff coverage is fully preserved, 1 if it is not, 2 on bad
+// input (one "error: …" line on stderr) or any other failure.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <string>
+#include <vector>
 
-#include "vcomp/core/experiment.hpp"
-#include "vcomp/core/ga_schedule.hpp"
 #include "vcomp/core/schedule_io.hpp"
-#include "vcomp/netgen/netgen.hpp"
-#include "vcomp/netlist/bench_io.hpp"
-#include "vcomp/netlist/verilog_io.hpp"
 #include "vcomp/obs/obs.hpp"
-#include "vcomp/scan/fabric.hpp"
+#include "vcomp/serve/job.hpp"
 #include "vcomp/serve/protocol.hpp"
+#include "vcomp/util/assert.hpp"
 #include "vcomp/util/parallel.hpp"
 
 using namespace vcomp;
 
 namespace {
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s <netlist.bench|gen:profile> [--out f]\n"
-               "       [--shift n|ga|var | --info r]\n"
-               "       [--ga-pop n] [--ga-gens n] [--ga-genes n]\n"
-               "       [--chains n] [--partition round-robin|contiguous|"
-               "random]\n"
-               "       [--partition-seed n] [--full-scale]\n"
-               "       [--selection random|hardness|most-faults|adi]\n"
-               "       [--atpg podem|sat|race]\n"
-               "       [--capture normal|vxor] [--hxor taps] [--seed n]\n"
-               "       [--threads n] [--profile] [--metrics f] [--trace f]\n",
-               argv0);
-  return 2;
+void usage(std::FILE* to) {
+  std::fprintf(to, "usage: vcomp_stitch <netlist.bench|.v|.sv|gen:profile> "
+                   "[options]\n\njob options (vcomp_serve \"config\" keys, "
+                   "'_' written '-'):\n%s",
+               serve::job_flags_usage().c_str());
+  std::fprintf(to, "\noutput options:\n"
+                   "  --out f                write the test program\n"
+                   "  --row f                write the result row (-: stdout)\n"
+                   "  --metrics f            write the obs metrics snapshot\n"
+                   "  --trace f              write Chrome-trace JSON\n"
+                   "  --profile              print the per-phase wall times\n"
+                   "  --threads n            worker threads\n");
 }
 
-bool parse_selection(const std::string& s, core::SelectionPolicy& out) {
-  if (s == "random") out = core::SelectionPolicy::Random;
-  else if (s == "hardness") out = core::SelectionPolicy::Hardness;
-  else if (s == "most-faults") out = core::SelectionPolicy::MostFaults;
-  else if (s == "adi") out = core::SelectionPolicy::Adi;
-  else return false;
-  return true;
-}
-
-/// "ga" = GA schedule search, "var" = variable policy, else a fixed shift
-/// size.  Shared by --shift and the VCOMP_SHIFT env default.
-bool parse_shift(const std::string& s, std::size_t& fixed, bool& ga_mode) {
-  if (s == "ga") {
-    ga_mode = true;
-    fixed = 0;
-    return true;
-  }
-  if (s == "var") {
-    ga_mode = false;
-    fixed = 0;
-    return true;
-  }
-  try {
-    fixed = std::stoul(s);
-  } catch (const std::exception&) {
-    return false;
-  }
-  ga_mode = false;
-  return true;
+/// Writes \p path (if set) through \p body, then reports it as \p what.
+void write_out(const std::string& path, const char* what,
+               const std::function<void(std::ostream&)>& body) {
+  if (path.empty()) return;
+  std::ofstream out(path);
+  if (!out.good()) throw InputError("cannot write " + path);
+  body(out);
+  if (what != nullptr) std::printf("%s written to %s\n", what, path.c_str());
 }
 
 void print_profile(const core::PhaseProfile& p) {
@@ -145,214 +76,97 @@ void print_profile(const core::PhaseProfile& p) {
   std::printf("  total     %9.3f\n", p.total_seconds);
 }
 
+int run(const std::vector<std::string>& args) {
+  serve::JobSpec spec;
+  std::string out_path, row_path, metrics_path, trace_path;
+  bool profile = false;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& a = args[i];
+    if (a == "--help" || a == "-h") {
+      usage(stdout);
+      return 0;
+    }
+    if (serve::apply_job_flag(args, i, spec)) continue;
+    auto value = [&]() -> const std::string& {
+      if (i + 1 >= args.size()) throw InputError("missing value for " + a);
+      return args[++i];
+    };
+    if (a == "--out") out_path = value();
+    else if (a == "--row") row_path = value();
+    else if (a == "--metrics") metrics_path = value();
+    else if (a == "--trace") trace_path = value();
+    else if (a == "--profile") profile = true;
+    else if (a == "--threads") {
+      const std::optional<serve::Json> n = serve::Json::parse(value());
+      if (!n || n->kind() != serve::Json::Kind::Int || n->as_int() < 0)
+        throw InputError("threads must be a non-negative integer");
+      util::ThreadPool::instance().configure(std::size_t(n->as_int()));
+    } else if (a.rfind('-', 0) != 0 && spec.circuit.empty()) {
+      spec.circuit = a;
+    } else {
+      throw InputError("unknown option: " + a + " (see --help)");
+    }
+  }
+  if (spec.circuit.empty()) {
+    usage(stderr);
+    return 2;
+  }
+  if (!trace_path.empty()) obs::set_trace_enabled(true);
+
+  netlist::Netlist nl = serve::load_circuit(spec.circuit, spec.full_scale);
+  std::printf("netlist: %zu PIs, %zu POs, %zu scan cells, %zu gates  "
+              "(%zu threads)\n",
+              nl.num_inputs(), nl.num_outputs(), nl.num_dffs(),
+              nl.num_comb_gates(), util::parallelism());
+  if (spec.options.num_chains > 1)
+    std::printf("fabric: %zu chains, %s partition\n", spec.options.num_chains,
+                scan::to_string(spec.options.partition));
+  const auto engine_kind = atpg::resolve_engine_kind(spec.options.atpg_engine);
+  if (engine_kind != atpg::EngineKind::Podem)
+    std::printf("atpg engine: %s\n", atpg::to_string(engine_kind));
+  const core::CircuitLab lab(
+      serve::circuit_label(spec.circuit, spec.full_scale), std::move(nl));
+  const auto& base = lab.baseline();
+  std::printf("baseline: %zu vectors, %.1f%% coverage (%zu redundant, "
+              "%zu aborted)\n",
+              lab.atv(), 100.0 * base.coverage(), base.num_redundant,
+              base.num_aborted);
+
+  const serve::JobRun job =
+      serve::run_spec(lab, spec, [](const std::string& event) {
+        std::fprintf(stderr, "%s\n", event.c_str());
+      });
+  const core::StitchResult& r = job.result;
+  if (job.ga) {
+    std::printf("ga: %zu generations, %zu evals, best quick m=%.3f "
+                "t=%.3f\nga schedule:",
+                job.ga->generations, job.ga->evals, job.ga->fitness_m,
+                job.ga->fitness_t);
+    for (const std::size_t s : job.ga->schedule) std::printf(" %zu", s);
+    std::printf("\n");
+  }
+  std::printf("stitched: TV=%zu ex=%zu  t=%.3f m=%.3f  coverage %s\n",
+              r.vectors_applied, r.extra_full_vectors, r.time_ratio,
+              r.memory_ratio, r.uncovered == 0 ? "preserved" : "LOST");
+  if (profile) print_profile(r.profile);
+
+  if (row_path == "-") std::printf("%s\n", job.row.c_str());
+  else write_out(row_path, nullptr, [&](auto& o) { o << job.row << '\n'; });
+  write_out(out_path, "test program",
+            [&](auto& o) { core::write_schedule(o, r.schedule); });
+  write_out(metrics_path, "metrics", [](auto& o) {
+    obs::Registry::instance().snapshot().write_json(o);
+    o << '\n';
+  });
+  write_out(trace_path, "trace", [](auto& o) { obs::write_chrome_trace(o); });
+  return r.uncovered == 0 ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage(argv[0]);
-  const std::string path = argv[1];
-  std::string out_path, metrics_path, trace_path, row_path;
-  core::StitchOptions opts;
-  core::GaOptions gopts;
-  double info = 0.0;
-  bool profile = false;
-  bool full_scale = false;
-  bool ga_mode = false;
-
   try {
-    opts.partition = scan::partition_from_env();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-  // Env defaults; flags below override them.
-  if (const char* e = std::getenv("VCOMP_SELECTION")) {
-    if (!parse_selection(e, opts.selection)) {
-      std::fprintf(stderr, "VCOMP_SELECTION: unknown policy \"%s\"\n", e);
-      return 2;
-    }
-  }
-  if (const char* e = std::getenv("VCOMP_SHIFT")) {
-    if (!parse_shift(e, opts.fixed_shift, ga_mode)) {
-      std::fprintf(stderr, "VCOMP_SHIFT: expected a number, \"ga\" or "
-                   "\"var\", got \"%s\"\n", e);
-      return 2;
-    }
-  }
-
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto need = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--out") out_path = need("--out");
-    else if (a == "--shift") {
-      if (!parse_shift(need("--shift"), opts.fixed_shift, ga_mode))
-        return usage(argv[0]);
-    } else if (a == "--ga-pop") gopts.population = std::stoul(need("--ga-pop"));
-    else if (a == "--ga-gens")
-      gopts.generations = std::stoul(need("--ga-gens"));
-    else if (a == "--ga-genes") gopts.genes = std::stoul(need("--ga-genes"));
-    else if (a == "--info") info = std::stod(need("--info"));
-    else if (a == "--seed") opts.seed = std::stoull(need("--seed"));
-    else if (a == "--threads")
-      util::ThreadPool::instance().configure(std::stoul(need("--threads")));
-    else if (a == "--hxor") opts.hxor_taps = std::stoul(need("--hxor"));
-    else if (a == "--chains") opts.num_chains = std::stoul(need("--chains"));
-    else if (a == "--partition") {
-      if (!scan::partition_from_string(need("--partition"), opts.partition))
-        return usage(argv[0]);
-    } else if (a == "--partition-seed")
-      opts.partition_seed = std::stoull(need("--partition-seed"));
-    else if (a == "--full-scale") full_scale = true;
-    else if (a == "--profile") profile = true;
-    else if (a == "--row") row_path = need("--row");
-    else if (a == "--metrics") metrics_path = need("--metrics");
-    else if (a == "--trace") trace_path = need("--trace");
-    else if (a == "--capture") {
-      const std::string c = need("--capture");
-      if (c == "vxor") opts.capture = scan::CaptureMode::VXor;
-      else if (c != "normal") return usage(argv[0]);
-    } else if (a == "--atpg") {
-      if (!atpg::engine_kind_from_string(need("--atpg"), opts.atpg_engine))
-        return usage(argv[0]);
-    } else if (a == "--selection") {
-      if (!parse_selection(need("--selection"), opts.selection))
-        return usage(argv[0]);
-    } else {
-      return usage(argv[0]);
-    }
-  }
-
-  if (ga_mode && info > 0.0) {
-    std::fprintf(stderr, "--shift ga and --info are mutually exclusive\n");
-    return 2;
-  }
-
-  if (!trace_path.empty()) obs::set_trace_enabled(true);
-
-  try {
-    // gen:<profile> synthesizes the named netgen circuit (e.g. gen:s1423);
-    // otherwise format by extension: .v / .sv structural Verilog, else
-    // .bench.
-    const bool generated = path.rfind("gen:", 0) == 0;
-    const bool verilog = !generated && path.size() > 2 &&
-                         (path.rfind(".v") == path.size() - 2 ||
-                          (path.size() > 3 &&
-                           path.rfind(".sv") == path.size() - 3));
-    if (full_scale && !generated) {
-      std::fprintf(stderr, "--full-scale only applies to gen:<profile>\n");
-      return 2;
-    }
-    auto nl = generated
-                  ? netgen::generate(full_scale
-                                         ? netgen::full_scale_profile(
-                                               path.substr(4))
-                                         : netgen::profile(path.substr(4)))
-              : verilog ? netlist::read_verilog_file(path)
-                        : netlist::read_bench_file(path);
-    std::printf("netlist: %zu PIs, %zu POs, %zu scan cells, %zu gates  "
-                "(%zu threads)\n",
-                nl.num_inputs(), nl.num_outputs(), nl.num_dffs(),
-                nl.num_comb_gates(), util::parallelism());
-    if (opts.num_chains > 1)
-      std::printf("fabric: %zu chains, %s partition\n", opts.num_chains,
-                  scan::to_string(opts.partition));
-    const auto engine_kind = atpg::resolve_engine_kind(opts.atpg_engine);
-    if (engine_kind != atpg::EngineKind::Podem)
-      std::printf("atpg engine: %s\n", atpg::to_string(engine_kind));
-    core::CircuitLab lab(path, std::move(nl));
-    if (info > 0.0 &&
-        !core::apply_info_ratio(opts, lab.netlist(), info)) {
-      std::fprintf(stderr, "info point %.3f unattainable for this I/O\n",
-                   info);
-      return 2;
-    }
-
-    const auto& base = lab.baseline();
-    std::printf("baseline: %zu vectors, %.1f%% coverage (%zu redundant, "
-                "%zu aborted)\n",
-                lab.atv(), 100.0 * base.coverage(), base.num_redundant,
-                base.num_aborted);
-
-    if (ga_mode) {
-      gopts.seed = opts.seed;
-      const core::GaResult gr = core::evolve_schedule(lab, opts, gopts);
-      std::printf("ga: %zu generations, %zu evals, best quick m=%.3f "
-                  "t=%.3f\nga schedule:",
-                  gr.generations, gr.evals, gr.fitness_m, gr.fitness_t);
-      for (const std::size_t s : gr.schedule) std::printf(" %zu", s);
-      std::printf("\n");
-      opts = core::apply_ga_schedule(opts, gr);
-    }
-
-    // Run under a scoped obs window exactly like a serve job: --row
-    // counters come from the window, so the row is byte-identical to the
-    // daemon's for the same job.  Lab construction above stays in the
-    // ambient scope, mirroring the daemon's artifact registry.
-    const bool want_row = !row_path.empty();
-    const std::uint64_t token = want_row ? util::new_task_token() : 0;
-    if (want_row) obs::Registry::instance().begin_scope(token);
-    core::StitchResult r;
-    {
-      const util::ScopedTaskContext scope(util::TaskContext{token, nullptr});
-      r = lab.run(opts);
-    }
-    std::printf("stitched: TV=%zu ex=%zu  t=%.3f m=%.3f  coverage %s\n",
-                r.vectors_applied, r.extra_full_vectors, r.time_ratio,
-                r.memory_ratio, r.uncovered == 0 ? "preserved" : "LOST");
-    if (profile) print_profile(r.profile);
-
-    if (want_row) {
-      const obs::CounterSet counters =
-          obs::Registry::instance().snapshot_scope(token).counters_only();
-      obs::Registry::instance().end_scope(token);
-      const std::string row = serve::result_row(
-          serve::circuit_label(path, full_scale), r, counters);
-      if (row_path == "-") {
-        std::printf("%s\n", row.c_str());
-      } else {
-        std::ofstream out(row_path);
-        if (!out.good()) {
-          std::fprintf(stderr, "cannot write %s\n", row_path.c_str());
-          return 2;
-        }
-        out << row << '\n';
-      }
-    }
-
-    if (!out_path.empty()) {
-      std::ofstream out(out_path);
-      if (!out.good()) {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        return 2;
-      }
-      core::write_schedule(out, r.schedule);
-      std::printf("test program written to %s\n", out_path.c_str());
-    }
-    if (!metrics_path.empty()) {
-      std::ofstream out(metrics_path);
-      if (!out.good()) {
-        std::fprintf(stderr, "cannot write %s\n", metrics_path.c_str());
-        return 2;
-      }
-      obs::Registry::instance().snapshot().write_json(out);
-      out << '\n';
-      std::printf("metrics written to %s\n", metrics_path.c_str());
-    }
-    if (!trace_path.empty()) {
-      std::ofstream out(trace_path);
-      if (!out.good()) {
-        std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
-        return 2;
-      }
-      obs::write_chrome_trace(out);
-      std::printf("trace written to %s\n", trace_path.c_str());
-    }
-    return r.uncovered == 0 ? 0 : 1;
+    return run(std::vector<std::string>(argv + 1, argv + argc));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
