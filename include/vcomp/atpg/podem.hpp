@@ -16,6 +16,18 @@
 /// fault's output cone — the structures that make PODEM practical on
 /// multi-thousand-gate circuits.
 ///
+/// A call pays per cone, not per gate.  The engine keeps a *pin frame*: the
+/// good machine under the call's pinned cells with every other source at
+/// X, simulated by sim::TernarySim and rebuilt only when the pin values
+/// differ from the previous call's.  Every target of a stitched cycle
+/// (core::StitchEngine, through atpg::Engine and the Race engine) shares
+/// one frame, and so does every unconstrained query of baseline ATPG
+/// (test_set.cpp) and the virtual-scan baseline.  A call evaluates the
+/// faulty machine over the fault's cone only (off the cone it equals the
+/// good one), searches, and on every exit, returned or thrown, undoes its
+/// trail and decisions, so each call starts from exactly the state a
+/// whole-circuit implication would build and returns the same result.
+///
 /// A Success result carries a test cube whose unassigned positions are X;
 /// five-valued implication guarantees every completion of the cube detects
 /// the target fault at some primary output or capture point.  Untestable
@@ -29,6 +41,7 @@
 
 #include "vcomp/fault/fault.hpp"
 #include "vcomp/sim/eval_graph.hpp"
+#include "vcomp/sim/ternary_sim.hpp"
 #include "vcomp/sim/trit.hpp"
 #include "vcomp/tmeas/scoap.hpp"
 
@@ -87,9 +100,13 @@ class Podem {
     sim::Trit good, bad;
   };
 
+  struct FrameRestore;
+
+  void load_frame(const PpiConstraints* constraints);
   void compute_cone(const fault::Fault& f);
-  void load_assignments();
-  void full_imply(const fault::Fault& f);
+  void load_fault(const fault::Fault& f);
+  void restore_frame(const fault::Fault& f);
+  sim::Trit eval_bad(netlist::GateId u, const fault::Fault& f) const;
   void eval_pair(netlist::GateId u, const fault::Fault& f, sim::Trit& good,
                  sim::Trit& bad);
   void assign_source(netlist::GateId src, sim::Trit v, const fault::Fault& f);
@@ -113,10 +130,19 @@ class Podem {
   std::vector<Decision> stack_;
   std::vector<TrailEntry> trail_;
 
+  // Pin frame: between calls assign_ holds exactly the pins, good_ the
+  // frame and bad_ equals good_.  frame_pins_ is the content key (empty
+  // when nothing is pinned); frame_valid_ is false until the first build.
+  sim::TernarySim frame_;
+  std::vector<sim::Trit> frame_pins_;
+  bool frame_valid_ = false;
+
   std::vector<std::uint8_t> is_obs_;    // gate drives a PO or a DFF data pin
   std::vector<netlist::GateId> cone_;       // comb gates in the fault cone
   std::vector<netlist::GateId> cone_obs_;   // observation gates in the cone
   std::vector<std::uint8_t> in_cone_;
+  std::vector<netlist::GateId> cone_work_;  // compute_cone's DFS stack
+  std::vector<netlist::GateId> cone_levelized_;  // cone_ in level order
 
   // Levelized propagation queue for incremental implication.
   std::vector<std::vector<netlist::GateId>> buckets_;

@@ -80,7 +80,9 @@ std::optional<Failure> check_flush(const Case& c, std::uint64_t flush_seed,
 /// ATPG engine oracle on \p rounds rounds: PODEM vs the CDCL SAT backend
 /// on sampled faults under shared random PPI constraints.  Success cubes
 /// are re-verified against the reference fault simulator; definitive
-/// verdicts must never contradict.
+/// verdicts must never contradict.  The PODEM engine serves every round,
+/// so its pin frame outlives pin changes; each of its results must equal
+/// (status, cube, backtracks) a freshly built PODEM engine's.
 std::optional<Failure> check_atpg(const Case& c, std::uint64_t seed,
                                   std::size_t rounds);
 

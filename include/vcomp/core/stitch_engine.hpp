@@ -248,7 +248,7 @@ class StitchEngine {
   std::optional<Candidate> generate(const FaultSets& sets,
                                     const scan::FabricState& state,
                                     const scan::ShiftPlan& plan,
-                                    bool first_vector, std::size_t cycle);
+                                    bool first_vector);
   void load_scoring_sim(fault::DiffSim& sim, const atpg::TestVector& v);
 
   const netlist::Netlist* nl_;

@@ -7,15 +7,21 @@
 /// setter, so a bad value gets one message (an InputError) on both.
 
 #include <atomic>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "vcomp/core/experiment.hpp"
 #include "vcomp/core/ga_schedule.hpp"
 #include "vcomp/serve/json.hpp"
+#include "vcomp/util/assert.hpp"
 
 namespace vcomp::serve {
 
@@ -44,6 +50,31 @@ bool apply_job_flag(const std::vector<std::string>& args, std::size_t& i,
 
 /// Usage text for every job key in its CLI spelling, one line per key.
 std::string job_flags_usage();
+
+/// Reads \p text, the value of a tool's own CLI flag \p flag ("--port"),
+/// as a T: an integer in T's range for unsigned T, a non-negative finite
+/// number for floating-point T.  InputError ("port must be an integer
+/// from 0 to 65535") on anything else, e.g. "abc", "-1", "4x" or "".
+/// Every tool reads its numeric flags through this one parser.
+template <class T>
+T parse_flag_number(std::string_view flag, std::string_view text) {
+  static_assert(std::is_unsigned_v<T> || std::is_floating_point_v<T>);
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>)
+    ok = ok && std::isfinite(v) && v >= 0;
+  if (ok) return v;
+  std::string what = "a non-negative number";
+  if constexpr (std::is_unsigned_v<T>)
+    what = sizeof(T) >= sizeof(std::uint64_t)
+               ? "a non-negative integer"
+               : "an integer from 0 to " +
+                     std::to_string(std::numeric_limits<T>::max());
+  const std::string_view name = flag.substr(flag.rfind("--", 0) == 0 ? 2 : 0);
+  throw InputError(std::string(name) + " must be " + what);
+}
 
 /// Reads "gen:<profile>" (a netgen circuit; \p full_scale lifts its gate
 /// budget), a .v / .sv structural Verilog file or a .bench file;

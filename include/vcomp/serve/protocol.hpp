@@ -44,10 +44,17 @@ struct Request {
   JobSpec job;  ///< valid when op == Submit
 };
 
-/// Parses one request line.  On failure returns nullopt and sets \p error
-/// to a human-readable reason (echoed back in an error event).
+/// Why a request line was rejected, as its error event reports it.
+struct RequestError {
+  std::string id;       ///< the submit's id if the line has one, else empty
+  std::string message;  ///< human-readable reason
+};
+
+/// Parses one request line.  On failure returns nullopt and fills \p error;
+/// a submit whose id parsed carries it, so a pipelining client can tell
+/// which job was rejected.
 std::optional<Request> parse_request(const std::string& line,
-                                     std::string& error);
+                                     RequestError& error);
 
 /// Applies one config object onto \p spec through set_job_key().  Returns
 /// false + \p error on unknown keys or bad values.

@@ -5,12 +5,16 @@
 ///
 /// Used to reason about partially specified vectors: a cube with X's whose
 /// ternary simulation pins an output to 0/1 pins it for *every* completion
-/// of the X's (monotonicity), which is the property the stitching flow's
-/// fill step relies on.
+/// of the X's (monotonicity).  Its production caller is atpg::Podem, which
+/// builds its *pin frame* here: the good machine under one call's pinned
+/// scan cells with every other source at X, shared by all targets until
+/// the pins change (once per stitched cycle).  The check oracles test it
+/// against a naive reference evaluator.
 ///
 /// Evaluation runs over the compiled EvalGraph schedule, reading fanin
 /// trits straight out of the CSR index buffer.
 
+#include <span>
 #include <vector>
 
 #include "vcomp/sim/eval_graph.hpp"
@@ -40,6 +44,8 @@ class TernarySim {
   void eval();
 
   Trit value(netlist::GateId g) const { return values_[g]; }
+  /// Every gate's value, indexed by GateId.
+  std::span<const Trit> values() const { return values_; }
   Trit output(std::size_t i) const;
   Trit next_state(std::size_t i) const;
 

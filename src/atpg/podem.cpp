@@ -1,6 +1,7 @@
 #include "vcomp/atpg/podem.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "vcomp/obs/metrics.hpp"
 #include "vcomp/util/assert.hpp"
@@ -41,6 +42,13 @@ const PodemMetrics& podem_metrics() {
 
 bool definite(Trit t) { return t != Trit::X; }
 
+/// True when the fault is a stem fault on a PI or PPI: the site holds the
+/// stuck value in the faulty machine but lies outside the comb cone.
+bool is_source_site(const sim::EvalGraph& eg, const Fault& f) {
+  const GateType t = eg.type(f.gate);
+  return f.is_stem() && (t == GateType::Input || t == GateType::Dff);
+}
+
 /// True when the fault is a branch into a flip-flop data pin: its effect is
 /// confined to the captured bit, which full scan observes directly.
 bool is_dff_pin_fault(const netlist::Netlist& nl, const Fault& f) {
@@ -64,7 +72,8 @@ Trit noncontrolling(GateType t) {
 }  // namespace
 
 Podem::Podem(sim::EvalGraph::Ref graph, const tmeas::Scoap& scoap)
-    : eg_(std::move(graph)), nl_(&eg_->netlist()), scoap_(&scoap) {
+    : eg_(std::move(graph)), nl_(&eg_->netlist()), scoap_(&scoap),
+      frame_(eg_) {
   const std::size_t n = eg_->num_gates();
   assign_.assign(n, Trit::X);
   good_.assign(n, Trit::X);
@@ -83,6 +92,32 @@ Podem::Podem(sim::EvalGraph::Ref graph, const tmeas::Scoap& scoap)
 Podem::Podem(const netlist::Netlist& nl, const tmeas::Scoap& scoap)
     : Podem(sim::EvalGraph::compile(nl), scoap) {}
 
+void Podem::load_frame(const PpiConstraints* constraints) {
+  static const std::vector<Trit> kNoPins;
+  const std::vector<Trit>& pins = constraints ? constraints->fixed : kNoPins;
+  // Checked before the frame is touched: a rejected call leaves the engine
+  // exactly as the previous call left it.
+  VCOMP_REQUIRE(pins.empty() || pins.size() == nl_->num_dffs(),
+                "constraint vector size must equal the number of DFFs");
+  if (frame_valid_ && pins.size() == frame_pins_.size() &&
+      (pins.empty() ||
+       std::memcmp(pins.data(), frame_pins_.data(), pins.size()) == 0))
+    return;
+
+  frame_valid_ = false;
+  frame_pins_ = pins;
+  std::fill(assign_.begin(), assign_.end(), Trit::X);
+  frame_.clear();
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    assign_[nl_->dffs()[i]] = pins[i];
+    frame_.set_state(i, pins[i]);
+  }
+  frame_.eval();
+  good_.assign(frame_.values().begin(), frame_.values().end());
+  bad_ = good_;
+  frame_valid_ = true;
+}
+
 void Podem::compute_cone(const Fault& f) {
   for (GateId g : cone_) in_cone_[g] = 0;
   cone_.clear();
@@ -90,7 +125,7 @@ void Podem::compute_cone(const Fault& f) {
 
   // The cone starts at the faulted line's sink(s): for a stem fault the
   // site's fanouts plus the site itself; for a branch fault the sink gate.
-  std::vector<GateId> work;
+  std::vector<GateId>& work = cone_work_;
   auto push = [&](GateId g) {
     const GateType t = eg_->type(g);
     if (t == GateType::Dff || t == GateType::Input) return;
@@ -120,48 +155,40 @@ void Podem::compute_cone(const Fault& f) {
   }
 }
 
-void Podem::load_assignments() {
-  std::fill(assign_.begin(), assign_.end(), Trit::X);
-  if (constraints_ != nullptr && !constraints_->all_free()) {
-    VCOMP_REQUIRE(constraints_->fixed.size() == nl_->num_dffs(),
-                  "constraint vector size must equal the number of DFFs");
-    for (std::size_t i = 0; i < nl_->num_dffs(); ++i)
-      assign_[nl_->dffs()[i]] = constraints_->fixed[i];
-  }
+void Podem::load_fault(const Fault& f) {
+  // Off the cone the faulty machine equals the good one, so only the cone
+  // and a PI/PPI stem site (which lies outside it) take faulty values.
+  if (is_source_site(*eg_, f)) bad_[f.gate] = stuck_trit(f);
+  cone_levelized_.assign(cone_.begin(), cone_.end());
+  std::sort(cone_levelized_.begin(), cone_levelized_.end(),
+            [&](GateId a, GateId b) { return eg_->level(a) < eg_->level(b); });
+  for (GateId u : cone_levelized_) bad_[u] = eval_bad(u, f);
 }
 
-void Podem::eval_pair(GateId u, const Fault& f, Trit& good, Trit& bad) {
+void Podem::restore_frame(const Fault& f) {
+  undo_to(0);
+  for (const Decision& d : stack_) assign_[d.source] = Trit::X;
+  stack_.clear();
+  for (GateId u : cone_) bad_[u] = good_[u];
+  if (is_source_site(*eg_, f)) bad_[f.gate] = good_[f.gate];
+}
+
+Trit Podem::eval_bad(GateId u, const Fault& f) const {
+  if (f.is_stem() && f.gate == u) return stuck_trit(f);
   const auto fin = eg_->fanin(u);
-  const GateType type = eg_->type(u);
-  good = sim::trit_eval_fused(type, fin.size(),
-                              [&](std::size_t k) { return good_[fin[k]]; });
-  if (f.is_stem() && f.gate == u) {
-    bad = stuck_trit(f);
-    return;
-  }
   const std::size_t forced_pin =
       (!f.is_stem() && f.gate == u) ? static_cast<std::size_t>(f.pin)
                                     : fin.size();
-  bad = sim::trit_eval_fused(type, fin.size(), [&](std::size_t k) {
+  return sim::trit_eval_fused(eg_->type(u), fin.size(), [&](std::size_t k) {
     return k == forced_pin ? stuck_trit(f) : bad_[fin[k]];
   });
 }
 
-void Podem::full_imply(const Fault& f) {
-  const Trit sv = stuck_trit(f);
-  for (GateId g : nl_->inputs()) {
-    good_[g] = assign_[g];
-    bad_[g] = assign_[g];
-  }
-  for (GateId g : nl_->dffs()) {
-    good_[g] = assign_[g];
-    bad_[g] = assign_[g];
-  }
-  if (f.is_stem()) {
-    const auto t = eg_->type(f.gate);
-    if (t == GateType::Input || t == GateType::Dff) bad_[f.gate] = sv;
-  }
-  for (GateId u : eg_->schedule()) eval_pair(u, f, good_[u], bad_[u]);
+void Podem::eval_pair(GateId u, const Fault& f, Trit& good, Trit& bad) {
+  const auto fin = eg_->fanin(u);
+  good = sim::trit_eval_fused(eg_->type(u), fin.size(),
+                              [&](std::size_t k) { return good_[fin[k]]; });
+  bad = in_cone_[u] ? eval_bad(u, f) : good;  // off the cone, bad == good
 }
 
 void Podem::assign_source(GateId src, Trit v, const Fault& f) {
@@ -426,17 +453,30 @@ bool Podem::xpath_exists(const Fault& f) {
   return false;
 }
 
+/// Hands the next call the bare pin frame when a generate() call ends,
+/// returned or thrown.
+struct Podem::FrameRestore {
+  FrameRestore(Podem& p, const Fault& f) : podem(p), fault(f) {}
+  FrameRestore(const FrameRestore&) = delete;
+  FrameRestore& operator=(const FrameRestore&) = delete;
+  ~FrameRestore() { podem.restore_frame(fault); }
+
+  Podem& podem;
+  const Fault& fault;
+};
+
 PodemResult Podem::generate(const Fault& f, const PpiConstraints* constraints,
                             const PodemOptions& options) {
+  load_frame(constraints);
   constraints_ = constraints;
+  VCOMP_DASSERT(trail_.empty() && stack_.empty(),
+                "a call must start from the bare pin frame");
+  const FrameRestore restore(*this, f);
   compute_cone(f);
-  load_assignments();
-  full_imply(f);
-  trail_.clear();
+  load_fault(f);
   imply_events_ = 0;
 
   PodemResult result;
-  stack_.clear();
   std::uint64_t decisions = 0;
 
   auto finish = [&](PodemResult& r) -> PodemResult& {

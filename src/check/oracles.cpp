@@ -795,6 +795,14 @@ std::optional<Failure> check_atpg(const Case& c, std::uint64_t seed,
       const Fault& f = c.faults[fi];
       const auto rp = podem->generate(f, &cons);
       const auto rs = sat->generate(f, &cons);
+      const auto fresh =
+          atpg::make_engine(atpg::EngineKind::Podem, graph, scoap)
+              ->generate(f, &cons);
+      if (rp.status != fresh.status || rp.backtracks != fresh.backtracks ||
+          rp.cube.pi != fresh.cube.pi || rp.cube.ppi != fresh.cube.ppi)
+        return fail("atpg", "podem reusing its pin frame diverges from a "
+                            "fresh engine for " +
+                                fault::fault_name(nl, f));
       if (rp.status == atpg::PodemStatus::Success)
         if (auto err = atpg_cube_error(nl, f, rp.cube, cons, rng))
           return fail("atpg",

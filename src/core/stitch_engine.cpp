@@ -138,7 +138,7 @@ void StitchEngine::load_scoring_sim(fault::DiffSim& sim, const TestVector& v) {
 
 std::optional<StitchEngine::Candidate> StitchEngine::generate(
     const FaultSets& sets, const FabricState& state, const ShiftPlan& plan,
-    bool first_vector, std::size_t cycle) {
+    bool first_vector) {
   PpiConstraints cons;
   if (!first_vector) cons = constraints_for(state, plan);
   // Unconstrained queries (no pinned cell) prove *combinational* redundancy
@@ -152,7 +152,6 @@ std::optional<StitchEngine::Candidate> StitchEngine::generate(
   if (tried_this_cycle_.empty())
     tried_this_cycle_.assign(faults_->size(), 0);
   ++cycle_stamp_;
-  (void)cycle;
 
   // Shared per-attempt accounting for both scan loops below.
   auto attempt = [&](std::size_t idx) {
@@ -441,8 +440,7 @@ StitchResult StitchEngine::run() {
          !below_break_even()) {
     const bool first = tracker.cycle() == 0;
     const scan::ShiftPlan plan = fabric_.plan_for(policy->current());
-    auto cand = generate(tracker.sets(), tracker.state(), plan, first,
-                         tracker.cycle());
+    auto cand = generate(tracker.sets(), tracker.state(), plan, first);
     if (!cand) {
       if (first) break;  // nothing generable at all — straight to ex phase
       if (policy->on_failure()) continue;

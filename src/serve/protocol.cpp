@@ -16,15 +16,18 @@ bool apply_config(const Json& config, JobSpec& spec, std::string& error) {
 }
 
 std::optional<Request> parse_request(const std::string& line,
-                                     std::string& error) {
+                                     RequestError& error) {
+  error = {};
   const std::optional<Json> doc = Json::parse(line);
   if (!doc || !doc->is_object()) {
-    error = "request is not a JSON object";
+    error.message = "request is not a JSON object";
     return std::nullopt;
   }
+  const Json* id = doc->find("id");
+  if (id != nullptr && id->is_string()) error.id = id->as_string();
   const Json* op = doc->find("op");
   if (op == nullptr || !op->is_string()) {
-    error = "missing \"op\"";
+    error.message = "missing \"op\"";
     return std::nullopt;
   }
   Request req;
@@ -42,30 +45,30 @@ std::optional<Request> parse_request(const std::string& line,
     return req;
   }
   if (o != "submit") {
-    error = "unknown op: " + o;
+    error.message = "unknown op: " + o;
     return std::nullopt;
   }
   req.op = Request::Op::Submit;
   for (const auto& [key, v] : doc->members())
     if (key != "op" && key != "id" && key != "circuit" && key != "config") {
-      error = "unknown submit key: " + key + " (job keys go in \"config\")";
+      error.message =
+          "unknown submit key: " + key + " (job keys go in \"config\")";
       return std::nullopt;
     }
-  const Json* id = doc->find("id");
-  if (id == nullptr || !id->is_string() || id->as_string().empty()) {
-    error = "submit requires a non-empty string \"id\"";
+  if (error.id.empty()) {
+    error.message = "submit requires a non-empty string \"id\"";
     return std::nullopt;
   }
-  req.job.id = id->as_string();
+  req.job.id = error.id;
   const Json* circuit = doc->find("circuit");
   if (circuit == nullptr || !circuit->is_string() ||
       circuit->as_string().empty()) {
-    error = "submit requires a non-empty string \"circuit\"";
+    error.message = "submit requires a non-empty string \"circuit\"";
     return std::nullopt;
   }
   req.job.circuit = circuit->as_string();
   if (const Json* config = doc->find("config"))
-    if (!apply_config(*config, req.job, error)) return std::nullopt;
+    if (!apply_config(*config, req.job, error.message)) return std::nullopt;
   return req;
 }
 

@@ -59,10 +59,10 @@ bool Server::handle_line(const std::string& line, const Sink& sink) {
   if (line.empty() ||
       line.find_first_not_of(" \t\r") == std::string::npos)
     return true;  // blank keep-alive
-  std::string error;
+  RequestError error;
   const std::optional<Request> req = parse_request(line, error);
   if (!req) {
-    emit(sink, event_error("", error));
+    emit(sink, event_error(error.id, error.message));
     return true;
   }
   switch (req->op) {

@@ -16,6 +16,7 @@
 #include "vcomp/fault/collapse.hpp"
 #include "vcomp/fault/fault_sim.hpp"
 #include "vcomp/netgen/netgen.hpp"
+#include "vcomp/util/assert.hpp"
 #include "vcomp/util/rng.hpp"
 
 namespace vcomp::atpg {
@@ -144,6 +145,58 @@ TEST(ConstrainedPodemEdge, EmptyConstraintEqualsUnconstrained) {
     const auto a = podem.generate(cf[i], nullptr);
     const auto b = podem.generate(cf[i], &all_free);
     EXPECT_EQ(a.status, b.status) << fault_name(nl, cf[i]);
+  }
+}
+
+TEST(ConstrainedPodemEdge, ReusedPinFrameMatchesFreshEngine) {
+  // One engine keeps its pin frame across calls; a fresh engine builds it
+  // from scratch.  Through pin changes, unpinned queries, an all-X vector
+  // and a rejected wrong-size vector, both must give every fault the same
+  // result, so the frame can never leak one call's state into the next.
+  auto nl = netgen::generate("s444");
+  auto cf = fault::collapsed_fault_list(nl);
+  const auto graph = sim::EvalGraph::compile(nl);
+  const tmeas::Scoap scoap(*graph);
+  Podem shared(graph, scoap);
+  Rng rng(0x5eed);
+
+  const std::size_t L = nl.num_dffs();
+  auto retained_pins = [&] {
+    PpiConstraints cons;
+    cons.fixed.assign(L, Trit::X);
+    for (std::size_t p = L / 3; p < L; ++p)
+      cons.fixed[p] = rng.bit() ? Trit::One : Trit::Zero;
+    return cons;
+  };
+  const PpiConstraints a = retained_pins();
+  const PpiConstraints b = retained_pins();
+  PpiConstraints all_x;
+  all_x.fixed.assign(L, Trit::X);
+  PpiConstraints wrong_size = a;
+  wrong_size.fixed.pop_back();
+
+  const PpiConstraints* const script[] = {&a,     &b,          &a,
+                                          nullptr, &all_x,     &wrong_size,
+                                          &a,     &wrong_size, &a};
+  for (std::size_t step = 0; step < std::size(script); ++step) {
+    const PpiConstraints* cons = script[step];
+    for (const auto& f : cf.faults()) {
+      if (cons == &wrong_size) {
+        EXPECT_THROW(shared.generate(f, cons), ContractError);
+        continue;
+      }
+      Podem fresh(graph, scoap);
+      const PodemResult got = shared.generate(f, cons);
+      const PodemResult want = fresh.generate(f, cons);
+      ASSERT_EQ(got.status, want.status)
+          << "step " << step << " " << fault_name(nl, f);
+      ASSERT_EQ(got.backtracks, want.backtracks)
+          << "step " << step << " " << fault_name(nl, f);
+      ASSERT_EQ(got.cube.pi, want.cube.pi)
+          << "step " << step << " " << fault_name(nl, f);
+      ASSERT_EQ(got.cube.ppi, want.cube.ppi)
+          << "step " << step << " " << fault_name(nl, f);
+    }
   }
 }
 

@@ -26,10 +26,11 @@ struct CliRun {
   std::string output;  ///< stdout and stderr together
 };
 
-/// Runs vcomp_stitch with \p args (shell words) under \p env assignments.
-CliRun run_cli(const std::string& args, const std::string& env = "") {
-  const std::string cmd =
-      env + " " + VCOMP_STITCH_BIN + " " + args + " 2>&1";
+/// Runs \p bin (default vcomp_stitch) with \p args (shell words) under
+/// \p env assignments.
+CliRun run_cli(const std::string& args, const std::string& env = "",
+               const std::string& bin = VCOMP_STITCH_BIN) {
+  const std::string cmd = env + " " + bin + " " + args + " 2>&1 </dev/null";
   CliRun run;
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return run;
@@ -146,6 +147,38 @@ TEST(CliParity, BadInputsGetOneMessageOnBothSurfaces) {
     ASSERT_NE(event->find("message"), nullptr) << c.config;
     EXPECT_EQ(event->find("message")->as_string(), c.message)
         << c.circuit << " " << c.config;
+  }
+}
+
+TEST(CliParity, ToolFlagsFailCleanly) {
+  // The tools' own numeric flags: one "error:" line and exit 2, never an
+  // uncaught exception.
+  struct Case {
+    const char* bin;
+    std::string args;
+    std::string message;
+  };
+  const std::string port = "port must be an integer from 0 to 65535";
+  const Case cases[] = {
+      {VCOMP_STITCH_BIN, "gen:s444 --threads x",
+       "threads must be a non-negative integer"},
+      {VCOMP_SERVE_BIN, "--port abc", port},
+      {VCOMP_SERVE_BIN, "--port 70000", port},
+      {VCOMP_SERVE_BIN, "--port -1", port},
+      {VCOMP_SERVE_BIN, "--max-jobs 2x",
+       "max-jobs must be a non-negative integer"},
+      {VCOMP_SERVE_BIN, "--threads", "missing value for --threads"},
+      {VCOMP_FUZZ_BIN, "--cases x", "cases must be a non-negative integer"},
+      {VCOMP_FUZZ_BIN, "--seed -3", "seed must be a non-negative integer"},
+      {VCOMP_FUZZ_BIN, "--minutes nan",
+       "minutes must be a non-negative number"},
+      {VCOMP_FUZZ_BIN, "--identity", "missing value for --identity"},
+  };
+  for (const Case& c : cases) {
+    const CliRun run = run_cli(c.args, "", c.bin);
+    EXPECT_EQ(run.status, 2) << c.bin << " " << c.args << "\n" << run.output;
+    EXPECT_EQ(run.output, "error: " + c.message + "\n")
+        << c.bin << " " << c.args;
   }
 }
 

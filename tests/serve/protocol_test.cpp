@@ -15,7 +15,7 @@ namespace vcomp::serve {
 namespace {
 
 TEST(Protocol, ParsesControlOps) {
-  std::string err;
+  RequestError err;
   EXPECT_EQ(parse_request(R"({"op":"ping"})", err)->op, Request::Op::Ping);
   EXPECT_EQ(parse_request(R"({"op":"status"})", err)->op,
             Request::Op::Status);
@@ -24,7 +24,7 @@ TEST(Protocol, ParsesControlOps) {
 }
 
 TEST(Protocol, ParsesSubmitWithFullConfig) {
-  std::string err;
+  RequestError err;
   const auto req = parse_request(
       R"({"op":"submit","id":"j7","circuit":"gen:s444","config":{)"
       R"("chains":4,"partition":"contiguous","partition_seed":9,)"
@@ -32,7 +32,7 @@ TEST(Protocol, ParsesSubmitWithFullConfig) {
       R"("capture":"vxor","hxor":3,"seed":5,"max_cycles":100,)"
       R"("full_scale":true,"progress_every":8}})",
       err);
-  ASSERT_TRUE(req.has_value()) << err;
+  ASSERT_TRUE(req.has_value()) << err.message;
   EXPECT_EQ(req->op, Request::Op::Submit);
   const JobSpec& j = req->job;
   EXPECT_EQ(j.id, "j7");
@@ -52,7 +52,7 @@ TEST(Protocol, ParsesSubmitWithFullConfig) {
 }
 
 TEST(Protocol, RejectsBadRequests) {
-  std::string err;
+  RequestError err;
   EXPECT_FALSE(parse_request("not json", err).has_value());
   EXPECT_FALSE(parse_request(R"([1,2])", err).has_value());
   EXPECT_FALSE(parse_request(R"({"op":"frob"})", err).has_value());
@@ -66,12 +66,12 @@ TEST(Protocol, RejectsBadRequests) {
 }
 
 TEST(Protocol, RejectsUnknownConfigKeyAndBadValues) {
-  std::string err;
+  RequestError err;
   EXPECT_FALSE(parse_request(R"({"op":"submit","id":"a","circuit":"x",)"
                              R"("config":{"chians":4}})",
                              err)
                    .has_value());
-  EXPECT_NE(err.find("chians"), std::string::npos);  // typo echoed back
+  EXPECT_NE(err.message.find("chians"), std::string::npos);  // typo echoed back
   EXPECT_FALSE(parse_request(R"({"op":"submit","id":"a","circuit":"x",)"
                              R"("config":{"chains":0}})",
                              err)
@@ -91,13 +91,39 @@ TEST(Protocol, RejectsUnknownConfigKeyAndBadValues) {
 }
 
 TEST(Protocol, RejectsUnknownTopLevelSubmitKeys) {
-  std::string err;
+  RequestError err;
   EXPECT_FALSE(parse_request(R"({"op":"submit","id":"a",)"
                              R"("circuit":"gen:s444","chains":-1})",
                              err)
                    .has_value());
-  EXPECT_NE(err.find("chains"), std::string::npos);
-  EXPECT_NE(err.find("config"), std::string::npos);  // the hint
+  EXPECT_NE(err.message.find("chains"), std::string::npos);
+  EXPECT_NE(err.message.find("config"), std::string::npos);  // the hint
+}
+
+TEST(Protocol, SubmitErrorsCarryTheParsedId) {
+  RequestError err;
+  // Rejected after the id parsed: the error names the job.
+  EXPECT_FALSE(parse_request(R"({"op":"submit","id":"b6",)"
+                             R"("circuit":"gen:s444","chains":-1})",
+                             err)
+                   .has_value());
+  EXPECT_EQ(err.id, "b6");
+  EXPECT_NE(err.message.find("chains"), std::string::npos);
+  EXPECT_FALSE(parse_request(R"({"op":"submit","id":"b7"})", err)
+                   .has_value());
+  EXPECT_EQ(err.id, "b7");
+  EXPECT_FALSE(parse_request(R"({"op":"submit","id":"b8","circuit":"x",)"
+                             R"("config":{"chains":0}})",
+                             err)
+                   .has_value());
+  EXPECT_EQ(err.id, "b8");
+  EXPECT_EQ(err.message, "chains must be a positive integer");
+  // No usable id: the error carries none, and a previous one never leaks.
+  EXPECT_FALSE(parse_request(R"({"op":"submit","id":7,"circuit":"x"})", err)
+                   .has_value());
+  EXPECT_EQ(err.id, "");
+  EXPECT_FALSE(parse_request("not json", err).has_value());
+  EXPECT_EQ(err.id, "");
 }
 
 /// A job key's value in both spellings: the CLI token (nullptr for the

@@ -25,8 +25,8 @@
 //
 // Exit code: 0 clean, 1 failures found, 2 usage error.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -34,6 +34,7 @@
 #include "vcomp/check/repro.hpp"
 #include "vcomp/check/runner.hpp"
 #include "vcomp/obs/obs.hpp"
+#include "vcomp/serve/job.hpp"
 #include "vcomp/util/parallel.hpp"
 
 using namespace vcomp;
@@ -71,63 +72,6 @@ int main(int argc, char** argv) {
   std::string metrics_path, trace_path;
   std::size_t threads = 0;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    if (std::strcmp(a, "--cases") == 0) {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      opts.cases = std::stoull(v);
-    } else if (std::strcmp(a, "--minutes") == 0) {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      opts.minutes = std::stod(v);
-      if (opts.cases == 100) opts.cases = 0;  // default flips to unbounded
-    } else if (std::strcmp(a, "--seed") == 0) {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      opts.seed = std::stoull(v);
-    } else if (std::strcmp(a, "--identity") == 0) {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      opts.identity_threads = std::stoull(v);
-    } else if (std::strcmp(a, "--threads") == 0) {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      threads = std::stoull(v);
-    } else if (std::strcmp(a, "--repro-dir") == 0) {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      opts.repro_dir = v;
-    } else if (std::strcmp(a, "--replay") == 0) {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      replay_path = v;
-    } else if (std::strcmp(a, "--max-failures") == 0) {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      opts.max_failures = std::stoull(v);
-    } else if (std::strcmp(a, "--no-shrink") == 0) {
-      opts.shrink_failures = false;
-    } else if (std::strcmp(a, "--metrics") == 0) {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      metrics_path = v;
-    } else if (std::strcmp(a, "--trace") == 0) {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      trace_path = v;
-    } else if (std::strcmp(a, "--quiet") == 0) {
-      opts.log = nullptr;
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", a);
-      return usage(argv[0]);
-    }
-  }
-
   // Writes the metrics snapshot / Chrome trace (if requested) and passes
   // the exit code through, so every successful exit path reports them.
   auto finish = [&](int code) -> int {
@@ -153,9 +97,49 @@ int main(int argc, char** argv) {
     return code;
   };
 
-  if (!trace_path.empty()) obs::set_trace_enabled(true);
-
   try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string a = argv[i];
+      auto need = [&]() -> std::string {
+        if (i + 1 >= argc) throw InputError("missing value for " + a);
+        return argv[++i];
+      };
+      auto number = [&] {
+        return serve::parse_flag_number<std::uint64_t>(a, need());
+      };
+      if (a == "--cases") {
+        opts.cases = number();
+      } else if (a == "--minutes") {
+        opts.minutes = serve::parse_flag_number<double>(a, need());
+        if (opts.cases == 100) opts.cases = 0;  // default flips to unbounded
+      } else if (a == "--seed") {
+        opts.seed = number();
+      } else if (a == "--identity") {
+        opts.identity_threads = number();
+      } else if (a == "--threads") {
+        threads = number();
+      } else if (a == "--repro-dir") {
+        opts.repro_dir = need();
+      } else if (a == "--replay") {
+        replay_path = need();
+      } else if (a == "--max-failures") {
+        opts.max_failures = number();
+      } else if (a == "--no-shrink") {
+        opts.shrink_failures = false;
+      } else if (a == "--metrics") {
+        metrics_path = need();
+      } else if (a == "--trace") {
+        trace_path = need();
+      } else if (a == "--quiet") {
+        opts.log = nullptr;
+      } else {
+        std::fprintf(stderr, "unknown option: %s\n", a.c_str());
+        return usage(argv[0]);
+      }
+    }
+
+    if (!trace_path.empty()) obs::set_trace_enabled(true);
+
     std::optional<util::ScopedParallelism> scoped;
     if (threads > 0) scoped.emplace(threads);
 

@@ -30,12 +30,15 @@
 //   {"op":"status"}
 //   {"op":"shutdown"}
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "vcomp/obs/obs.hpp"
+#include "vcomp/serve/job.hpp"
 #include "vcomp/serve/net.hpp"
 #include "vcomp/util/parallel.hpp"
 
@@ -56,39 +59,36 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   serve::ServeOptions opts;
-  int port = -1;  // -1 = stdio pipe mode
+  std::optional<std::uint16_t> port;  // unset = stdio pipe mode
   std::string metrics_path, trace_path;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto need = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--port") port = std::stoi(need("--port"));
-    else if (a == "--max-jobs")
-      opts.max_active_jobs = std::stoul(need("--max-jobs"));
-    else if (a == "--cache")
-      opts.registry_budget = std::stoul(need("--cache"));
-    else if (a == "--progress")
-      opts.progress_every = std::stoul(need("--progress"));
-    else if (a == "--threads")
-      util::ThreadPool::instance().configure(std::stoul(need("--threads")));
-    else if (a == "--metrics") metrics_path = need("--metrics");
-    else if (a == "--trace") trace_path = need("--trace");
-    else return usage(argv[0]);
-  }
-  if (port > 65535) return usage(argv[0]);
-
-  if (!trace_path.empty()) obs::set_trace_enabled(true);
-
   try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string a = argv[i];
+      auto need = [&]() -> std::string {
+        if (i + 1 >= argc) throw InputError("missing value for " + a);
+        return argv[++i];
+      };
+      auto number = [&] {
+        return serve::parse_flag_number<std::size_t>(a, need());
+      };
+      if (a == "--port")
+        port = serve::parse_flag_number<std::uint16_t>(a, need());
+      else if (a == "--max-jobs") opts.max_active_jobs = number();
+      else if (a == "--cache") opts.registry_budget = number();
+      else if (a == "--progress") opts.progress_every = number();
+      else if (a == "--threads")
+        util::ThreadPool::instance().configure(number());
+      else if (a == "--metrics") metrics_path = need();
+      else if (a == "--trace") trace_path = need();
+      else return usage(argv[0]);
+    }
+
+    if (!trace_path.empty()) obs::set_trace_enabled(true);
+
     serve::Server server(opts);
-    if (port >= 0) {
-      serve::TcpListener listener(static_cast<std::uint16_t>(port));
+    if (port) {
+      serve::TcpListener listener(*port);
       // Printed (and flushed) before the accept loop starts, so scripts
       // can parse the port and connect without racing.
       std::printf("listening on 127.0.0.1:%u\n", unsigned(listener.port()));

@@ -96,12 +96,10 @@ int run(const std::vector<std::string>& args) {
     else if (a == "--metrics") metrics_path = value();
     else if (a == "--trace") trace_path = value();
     else if (a == "--profile") profile = true;
-    else if (a == "--threads") {
-      const std::optional<serve::Json> n = serve::Json::parse(value());
-      if (!n || n->kind() != serve::Json::Kind::Int || n->as_int() < 0)
-        throw InputError("threads must be a non-negative integer");
-      util::ThreadPool::instance().configure(std::size_t(n->as_int()));
-    } else if (a.rfind('-', 0) != 0 && spec.circuit.empty()) {
+    else if (a == "--threads")
+      util::ThreadPool::instance().configure(
+          serve::parse_flag_number<std::size_t>(a, value()));
+    else if (a.rfind('-', 0) != 0 && spec.circuit.empty()) {
       spec.circuit = a;
     } else {
       throw InputError("unknown option: " + a + " (see --help)");
