@@ -5,8 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include "vcomp/atpg/podem.hpp"
+#include "vcomp/fault/block_lane_sim.hpp"
 #include "vcomp/fault/collapse.hpp"
-#include "vcomp/fault/fault_parallel_sim.hpp"
 #include "vcomp/fault/fault_sim.hpp"
 #include "vcomp/netgen/netgen.hpp"
 #include "vcomp/sim/word_sim.hpp"
@@ -63,27 +63,30 @@ void BM_DiffSimFullFaultList(benchmark::State& state) {
 }
 BENCHMARK(BM_DiffSimFullFaultList);
 
-void BM_LaneSimBatch(benchmark::State& state) {
+void BM_BlockLaneSimBatch(benchmark::State& state) {
   const auto& nl = bench_netlist();
   const auto& cf = bench_faults();
-  fault::LaneSim lanes(nl);
+  fault::BlockLaneSim lanes(sim::EvalGraph::compile(nl));
   Rng rng(3);
+  sim::Block b;
   for (auto _ : state) {
     lanes.clear();
-    for (int k = 0; k < 64; ++k) {
-      const int lane = lanes.add_lane();
-      for (std::size_t i = 0; i < nl.num_inputs(); ++i)
-        lanes.set_pi(lane, i, rng.bit());
-      for (std::size_t i = 0; i < nl.num_dffs(); ++i)
-        lanes.set_state(lane, i, rng.bit());
-      lanes.inject(lane, cf[static_cast<std::size_t>(k) % cf.size()]);
+    for (std::size_t k = 0; k < sim::kBlockLanes; ++k)
+      lanes.inject(lanes.add_lane(), cf[k % cf.size()]);
+    for (std::size_t i = 0; i < nl.num_inputs(); ++i) {
+      for (std::size_t k = 0; k < sim::kBlockWords; ++k) b.w[k] = rng.next();
+      lanes.set_pi_block(i, b);
+    }
+    for (std::size_t i = 0; i < nl.num_dffs(); ++i) {
+      for (std::size_t k = 0; k < sim::kBlockWords; ++k) b.w[k] = rng.next();
+      lanes.set_state_block(i, b);
     }
     lanes.eval();
-    benchmark::DoNotOptimize(lanes.output_word(0));
+    benchmark::DoNotOptimize(lanes.output_block(0));
   }
-  state.SetItemsProcessed(state.iterations() * 64);
+  state.SetItemsProcessed(state.iterations() * sim::kBlockLanes);
 }
-BENCHMARK(BM_LaneSimBatch);
+BENCHMARK(BM_BlockLaneSimBatch);
 
 void BM_PodemEasyFaults(benchmark::State& state) {
   const auto& nl = bench_netlist();

@@ -4,7 +4,8 @@
 //
 // For a spread of circuit profiles it emits one row per *dispatch width*:
 //  * word64        — WordSim::eval, the 64-lane scalar kernel;
-//  * block-scalar  — BlockSim::eval, 512 lanes through the portable sweep;
+//  * block-scalar  — a fault-free BlockLaneSim::eval, the sweep the tracker
+//    runs: 512 lanes through the portable sweep;
 //  * block-avx2 / block-avx512 — the same 512-lane sweep through the
 //    vectorized translation units (rows appear only where the CPU + build
 //    support the ISA).
@@ -25,10 +26,10 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "vcomp/fault/block_lane_sim.hpp"
 #include "vcomp/fault/fault.hpp"
 #include "vcomp/fault/fault_sim.hpp"
 #include "vcomp/netgen/netgen.hpp"
-#include "vcomp/sim/block_sim.hpp"
 #include "vcomp/sim/eval_graph.hpp"
 #include "vcomp/sim/simd_dispatch.hpp"
 #include "vcomp/sim/ternary_sim.hpp"
@@ -144,11 +145,13 @@ void bench_circuit(const netgen::CircuitProfile& profile,
     row.lanes = sim::kBlockLanes;
     row.gates = nl.num_gates();
     row.sched = sched;
-    sim::BlockSim bs(eg, mode);
+    fault::BlockLaneSim bs(eg, mode);
     row.gate_evals_per_sec = measure(target_seconds, double(sched), [&] {
-      for (std::size_t i = 0; i < nl.num_inputs(); ++i)
-        for (std::size_t k = 0; k < sim::kBlockWords; ++k)
-          bs.set_input_word(i, k, rng.next());
+      sim::Block b;
+      for (std::size_t i = 0; i < nl.num_inputs(); ++i) {
+        for (std::size_t k = 0; k < sim::kBlockWords; ++k) b.w[k] = rng.next();
+        bs.set_pi_block(i, b);
+      }
       for (std::size_t i = 0; i < nl.num_dffs(); ++i)
         for (std::size_t k = 0; k < sim::kBlockWords; ++k)
           bs.set_state_word(i, k, rng.next());

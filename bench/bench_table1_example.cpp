@@ -11,7 +11,7 @@
 
 #include "bench_util.hpp"
 #include "vcomp/core/tracker.hpp"
-#include "vcomp/fault/fault_parallel_sim.hpp"
+#include "vcomp/fault/block_lane_sim.hpp"
 #include "vcomp/netgen/example_circuit.hpp"
 
 using namespace vcomp;
@@ -34,7 +34,7 @@ int main() {
   std::printf("=== Table 1: fault behaviour through four stitched cycles "
               "===\n\n");
 
-  // Per-fault per-cycle (TV, RP) rows, tracked with one LaneSim machine per
+  // Per-fault per-cycle (TV, RP) rows, tracked with one private machine per
   // fault — exactly the bookkeeping the paper tabulates.
   core::StitchTracker tracker(nl, cf, scan::CaptureMode::Normal,
                               scan::ScanOutModel::direct(3));
@@ -48,7 +48,7 @@ int main() {
   std::vector<std::vector<std::string>> cells(
       cf.size(), std::vector<std::string>(9, ""));
 
-  fault::LaneSim lanes(nl);
+  fault::BlockLaneSim lanes(sim::EvalGraph::compile(nl));
   scan::ChainState good_chain(3);
   std::vector<std::size_t> caught_at(cf.size(), 0);
 
@@ -87,7 +87,7 @@ int main() {
       lanes.eval();
       std::vector<std::uint8_t> rp(3);
       for (std::size_t p = 0; p < 3; ++p)
-        rp[p] = lanes.next_state(lane, p) ? 1 : 0;
+        rp[p] = lanes.next_state_block(p).lane(lane) ? 1 : 0;
       m.capture(rp, scan::CaptureMode::Normal);
 
       cells[i][1 + 2 * c - 1] = tv_f;
@@ -103,7 +103,7 @@ int main() {
     lanes.eval();
     std::vector<std::uint8_t> rp(3);
     for (std::size_t p = 0; p < 3; ++p)
-      rp[p] = lanes.next_state(lane, p) ? 1 : 0;
+      rp[p] = lanes.next_state_block(p).lane(lane) ? 1 : 0;
     good_chain.capture(rp, scan::CaptureMode::Normal);
   }
   tracker.terminal_observe(2);

@@ -3,19 +3,19 @@
 /// \file oracles.hpp
 /// Differential oracles of the check harness.
 ///
-/// Three families:
-///  * simulator oracles — WordSim, TernarySim, DiffSim and LaneSim are run
-///    on identical stimuli and compared against the naive reference
-///    evaluators of reference.hpp (and against each other where their
-///    domains overlap);
+/// The families:
+///  * simulator oracles — WordSim, TernarySim, DiffSim and BlockLaneSim are
+///    run on identical stimuli and compared against the naive reference
+///    evaluators of reference.hpp; BlockLaneSim gets a different PI and
+///    state pattern and its own fault in every lane;
 ///  * compaction / dispatch oracles — the same scenario is evaluated on
 ///    the compacted and uncompacted EvalGraph (WordSim values through the
 ///    id remap, DiffSim::simulate vs simulate_mapped, BlockLaneSim with
-///    mapped faults) and through every available SIMD dispatch width
-///    (BlockSim scalar vs AVX2 vs AVX-512); on top, the full stitched
-///    tracker is driven twice — VCOMP_COMPACT on and off — and the two
-///    digests (CycleStats, fault states, work counters) must be
-///    byte-identical;
+///    plain vs mapped faults) and through every available SIMD dispatch
+///    width (a fault-free BlockLaneSim, scalar vs AVX2 vs AVX-512); on top,
+///    the full stitched tracker is driven twice — VCOMP_COMPACT on and
+///    off — and the two digests (CycleStats, fault states, work counters)
+///    must be byte-identical;
 ///  * the flush oracle — scan fabrics are linear networks over GF(2), so
 ///    shifting a flush stream through a loaded fabric must obey
 ///    superposition: obs(state, flush) == obs(state, 0) xor obs(0, flush),
@@ -51,7 +51,7 @@ namespace vcomp::check {
 
 struct Failure {
   std::string oracle;  ///< "word-sim", "ternary-sim", "diff-sim",
-                       ///< "lane-sim", "compact", "simd-dispatch",
+                       ///< "block-lane-sim", "compact", "simd-dispatch",
                        ///< "flush", "atpg", "adi", "tracker",
                        ///< "thread-identity", "exception"
   std::string detail;  ///< human-readable mismatch description

@@ -155,11 +155,11 @@ struct PhaseProfile {
   double scoring_seconds = 0;   ///< MostFaults completion scoring
   double shift_seconds = 0;     ///< tracker scan-shift + hidden compare
   double classify_seconds = 0;  ///< tracker uncaught-fault classification
-  double advance_seconds = 0;   ///< tracker 64-lane hidden advance
+  double advance_seconds = 0;   ///< tracker 512-lane hidden advance
   double terminal_seconds = 0;  ///< terminal observes + ex-phase dropping
   double total_seconds = 0;     ///< whole StitchEngine::run call
   std::size_t faults_classified = 0;  ///< DiffSim classification queries
-  std::size_t hidden_advanced = 0;    ///< LaneSim lanes evaluated
+  std::size_t hidden_advanced = 0;    ///< BlockLaneSim lanes evaluated
   std::size_t podem_calls = 0;        ///< constrained generate() attempts
   std::size_t podem_backtracks = 0;   ///< backtracks across those calls
   std::size_t cubes_found = 0;        ///< successful cubes collected

@@ -1,17 +1,20 @@
 #pragma once
 
 /// \file block_lane_sim.hpp
-/// 512-lane sibling of LaneSim: every lane carries its own
-/// (stimulus, fault) pair, and one eval() advances up to kBlockLanes
-/// hidden faults through a combinational cycle.
+/// 512-lane fault simulator where every lane carries its own (stimulus,
+/// fault) pair: one eval() advances up to kBlockLanes independent faulty
+/// machines through a combinational cycle.
+///
+/// This complements DiffSim, which evaluates one fault against shared
+/// stimuli.  The tracker advances every hidden fault here, since each
+/// hidden fault holds its own scan contents; with no fault injected it is
+/// the plain 512-pattern simulator.
 ///
 /// The sweep itself is the shared SIMD-dispatched Block kernel; faulty
 /// gates are handled through the sweep's patch callback — a gate whose
 /// force flag is set gets re-evaluated with its forced pins (gather +
 /// patch, the rare slow path) and/or its output masked to the stuck
 /// value, right after its plain store and before any consumer reads it.
-/// Lane semantics are identical to LaneSim's, so results are comparable
-/// word-for-word against eight 64-lane batches.
 ///
 /// Faults are injected either as original-graph Fault sites (inject) or
 /// as compacted-graph MappedFault site lists (inject_mapped); a mapped
@@ -49,6 +52,9 @@ class BlockLaneSim {
 
   /// Broadcasts one primary-input bit to every lane.
   void set_pi_all(std::size_t input_index, bool v);
+
+  /// Whole-Block write of one primary input across all lanes.
+  void set_pi_block(std::size_t input_index, const sim::Block& b);
 
   /// Per-lane stimulus bit of one state element.
   void set_state(int lane, std::size_t dff_index, bool v);

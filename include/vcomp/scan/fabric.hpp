@@ -10,7 +10,7 @@
 ///
 /// Conventions:
 ///  * chains are indexed 0..N-1; within a chain, position 0 is the scan-in
-///    head and L_c-1 the scan-out tail (exactly the ScanChain convention);
+///    head and L_c-1 the scan-out tail (the ChainState convention);
 ///  * the *flat* view lays the chains out chain-major: flat position
 ///    chain_offset(c) + p addresses position p of chain c.  Every per-cell
 ///    buffer of the tracker (capture bits, pre-capture snapshots, diff
@@ -21,7 +21,7 @@
 ///    its length.  Chains shift in parallel on silicon, so a plan costs
 ///    max(plan) shift cycles while moving sum(plan) tester bits;
 ///  * one chain is the degenerate fabric: with num_chains == 1 every
-///    policy yields the identity ScanChain, plan_for(s) == {s}, and all
+///    policy yields the identity order, plan_for(s) == {s}, and all
 ///    flat views coincide with the single-chain ones.  The standing
 ///    determinism contract extends to this degeneracy — N=1 results are
 ///    byte-identical to the former single-chain code paths.
@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "vcomp/netlist/netlist.hpp"
 #include "vcomp/scan/scan_chain.hpp"
 
 namespace vcomp::scan {

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file scan_chain.hpp
-/// Scan chain structure and bit-level shift/capture semantics.
+/// Bit-level scan chain shift/capture semantics.
 ///
 /// Conventions (reverse-engineered from the paper's worked example and
 /// asserted by the test suite):
@@ -17,35 +17,12 @@
 #include <span>
 #include <vector>
 
-#include "vcomp/netlist/netlist.hpp"
-
 namespace vcomp::scan {
 
 /// How capture writes into the chain.
 enum class CaptureMode : std::uint8_t {
   Normal,  ///< cell ← next-state
   VXor,    ///< cell ← next-state ⊕ cell   (Figure 3)
-};
-
-/// Chain ordering: position → flip-flop index (into netlist.dffs()).
-class ScanChain {
- public:
-  /// Identity order: position i holds flip-flop i.
-  explicit ScanChain(const netlist::Netlist& nl);
-
-  /// Custom order; \p order must be a permutation of [0, num_dffs).
-  ScanChain(const netlist::Netlist& nl, std::vector<std::uint32_t> order);
-
-  std::size_t length() const { return order_.size(); }
-  std::uint32_t dff_at(std::size_t pos) const { return order_[pos]; }
-  std::size_t pos_of(std::uint32_t dff_index) const { return pos_[dff_index]; }
-
-  const netlist::Netlist& netlist() const { return *nl_; }
-
- private:
-  const netlist::Netlist* nl_;
-  std::vector<std::uint32_t> order_;  // position -> dff index
-  std::vector<std::size_t> pos_;      // dff index -> position
 };
 
 /// Scan-out observation structure: the ATE sees, per shift cycle, the XOR

@@ -81,17 +81,23 @@ T parse_flag_number(std::string_view flag, std::string_view text) {
 /// InputError on a bad circuit or \p full_scale on a file.
 netlist::Netlist load_circuit(const std::string& circuit, bool full_scale);
 
+/// spec.options with the info point applied; InputError if chains or shift
+/// exceed \p nl's scan cells or the info point is unattainable.  Cheap, so
+/// a caller that loads the circuit itself checks the job before it builds
+/// the lab (baseline ATPG can take seconds).
+core::StitchOptions checked_options(const netlist::Netlist& nl,
+                                    const JobSpec& spec);
+
 struct JobRun {
   core::StitchResult result;
   std::string row;                   ///< result_row() of the run
   std::optional<core::GaResult> ga;  ///< the search, when spec.ga_shift
 };
 
-/// Runs \p spec on \p lab: the info point, the GA search (outside the
+/// Runs \p spec on \p lab: checked_options, the GA search (outside the
 /// counter window), the run in an obs::scoped_counters window, its
 /// result_row.  \p cap bounds the pool workers it recruits; \p progress
-/// gets a progress event every spec.progress_every cycles.  InputError if
-/// chains or shift exceed the scan cells or the info point is unattainable.
+/// gets a progress event every spec.progress_every cycles.
 JobRun run_spec(const core::CircuitLab& lab, const JobSpec& spec,
                 const std::function<void(const std::string&)>& progress = {},
                 const std::atomic<std::size_t>* cap = nullptr);

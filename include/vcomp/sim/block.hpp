@@ -113,8 +113,7 @@ struct alignas(64) Block {
 };
 
 /// Forced stuck-at overlay: lanes in \p m1 read 1, lanes in \p m0 read 0,
-/// everything else keeps \p v.  Same contract as the Word-level
-/// apply_force in LaneSim.
+/// everything else keeps \p v.
 inline Block block_apply_force(const Block& v, const Block& m0,
                                const Block& m1) {
   return (v & ~(m0 | m1)) | m1;

@@ -11,9 +11,7 @@
 #include "vcomp/core/tracker.hpp"
 #include "vcomp/fault/block_lane_sim.hpp"
 #include "vcomp/fault/compact_model.hpp"
-#include "vcomp/fault/fault_parallel_sim.hpp"
 #include "vcomp/fault/fault_sim.hpp"
-#include "vcomp/sim/block_sim.hpp"
 #include "vcomp/sim/simd_dispatch.hpp"
 #include "vcomp/sim/ternary_sim.hpp"
 #include "vcomp/sim/word_sim.hpp"
@@ -39,6 +37,13 @@ constexpr std::size_t kSimFaultSample = 48;
 
 std::optional<Failure> fail(const char* oracle, std::string detail) {
   return Failure{oracle, std::move(detail)};
+}
+
+/// A Block whose lanes 0..63 carry the patterns of \p w (other lanes 0).
+sim::Block word_block(Word w) {
+  sim::Block b = sim::Block::zero();
+  b.w[0] = w;
+  return b;
 }
 
 std::vector<std::uint32_t> sample_faults(std::size_t num_faults, Rng& rng,
@@ -135,36 +140,31 @@ std::optional<Failure> simulators_round(const Case& c,
                   "ppo diffs mismatch for " + fault::fault_name(nl, f));
   }
 
-  // LaneSim vs forked reference: lane k carries pattern k of the same
+  // BlockLaneSim vs forked reference: lane k carries pattern k of the same
   // source words plus its own fault — genuinely per-lane stimuli.
-  fault::LaneSim lsim(graph);
-  for (std::size_t base = 0; base < sample.size(); base += 64) {
-    const std::size_t count = std::min<std::size_t>(64, sample.size() - base);
-    lsim.clear();
-    for (std::size_t k = 0; k < count; ++k) {
-      const int lane = lsim.add_lane();
-      for (std::size_t i = 0; i < nl.num_inputs(); ++i)
-        lsim.set_pi(lane, i, (src[nl.inputs()[i]] >> k) & 1);
-      for (std::size_t i = 0; i < nl.num_dffs(); ++i)
-        lsim.set_state(lane, i, (src[nl.dffs()[i]] >> k) & 1);
-      lsim.inject(lane, c.faults[sample[base + k]]);
-    }
-    lsim.eval();
-    for (std::size_t k = 0; k < count; ++k) {
-      const Fault& f = c.faults[sample[base + k]];
-      std::vector<Word> bad = src;
-      ref_faulty_eval(nl, bad, f);
-      for (std::size_t o = 0; o < nl.num_outputs(); ++o)
-        if (lsim.output(static_cast<int>(k), o) !=
-            static_cast<bool>((bad[nl.outputs()[o]] >> k) & 1))
-          return fail("lane-sim",
-                      "po mismatch for " + fault::fault_name(nl, f));
-      for (std::size_t i = 0; i < nl.num_dffs(); ++i)
-        if (lsim.next_state(static_cast<int>(k), i) !=
-            static_cast<bool>((ref_next_state(nl, bad, &f, i) >> k) & 1))
-          return fail("lane-sim",
-                      "next-state mismatch for " + fault::fault_name(nl, f));
-    }
+  static_assert(kSimFaultSample <= 64, "one source word holds the patterns");
+  fault::BlockLaneSim bsim(graph);
+  for (std::size_t k = 0; k < sample.size(); ++k)
+    bsim.inject(bsim.add_lane(), c.faults[sample[k]]);
+  for (std::size_t i = 0; i < nl.num_inputs(); ++i)
+    bsim.set_pi_block(i, word_block(src[nl.inputs()[i]]));
+  for (std::size_t i = 0; i < nl.num_dffs(); ++i)
+    bsim.set_state_word(i, 0, src[nl.dffs()[i]]);
+  bsim.eval();
+  for (std::size_t k = 0; k < sample.size(); ++k) {
+    const Fault& f = c.faults[sample[k]];
+    std::vector<Word> bad = src;
+    ref_faulty_eval(nl, bad, f);
+    for (std::size_t o = 0; o < nl.num_outputs(); ++o)
+      if (bsim.output_block(o).lane(k) !=
+          static_cast<bool>((bad[nl.outputs()[o]] >> k) & 1))
+        return fail("block-lane-sim",
+                    "po mismatch for " + fault::fault_name(nl, f));
+    for (std::size_t i = 0; i < nl.num_dffs(); ++i)
+      if (bsim.next_state_block(i).lane(k) !=
+          static_cast<bool>((ref_next_state(nl, bad, &f, i) >> k) & 1))
+        return fail("block-lane-sim",
+                    "next-state mismatch for " + fault::fault_name(nl, f));
   }
   return std::nullopt;
 }
@@ -215,7 +215,7 @@ std::map<std::uint32_t, Word> folded_ppo(const fault::DiffSim::Effect& eff) {
 
 /// One stimulus round of the compacted-vs-original equivalence oracle:
 /// WordSim gate values through the id remap, DiffSim::simulate vs
-/// simulate_mapped, and LaneSim vs BlockLaneSim with mapped faults.
+/// simulate_mapped, and BlockLaneSim with plain faults vs mapped faults.
 std::optional<Failure> compaction_round(const Case& c,
                                         const sim::EvalGraph::Ref& graph,
                                         const fault::CompactModel& model,
@@ -272,39 +272,32 @@ std::optional<Failure> compaction_round(const Case& c,
                                  fault::fault_name(nl, c.faults[fi]));
   }
 
-  // LaneSim (original faults, original graph) vs BlockLaneSim (mapped
-  // faults, compacted graph).  BlockLaneSim broadcasts PIs across lanes —
-  // that is the tracker's usage — so both engines get bit 0 of the PI
-  // words and per-lane states from bit k.
-  fault::LaneSim lsim(graph);
-  fault::BlockLaneSim bsim(model.graph());
-  const std::size_t count = std::min<std::size_t>(sample.size(), 64);
-  for (std::size_t k = 0; k < count; ++k) {
-    const int la = lsim.add_lane();
-    const int lb = bsim.add_lane();
-    for (std::size_t i = 0; i < nl.num_inputs(); ++i)
-      lsim.set_pi(la, i, (in[i] & 1) != 0);
-    for (std::size_t i = 0; i < nl.num_dffs(); ++i) {
-      lsim.set_state(la, i, ((st[i] >> k) & 1) != 0);
-      bsim.set_state(lb, i, ((st[i] >> k) & 1) != 0);
-    }
-    lsim.inject(la, c.faults[sample[k]]);
-    bsim.inject_mapped(lb, model.mapped(sample[k]));
+  // BlockLaneSim: original faults on the original graph vs mapped faults on
+  // the compacted graph, lane k carrying pattern k of the source words.
+  fault::BlockLaneSim borig(graph), bcomp(model.graph());
+  for (std::uint32_t fi : sample) {
+    borig.inject(borig.add_lane(), c.faults[fi]);
+    bcomp.inject_mapped(bcomp.add_lane(), model.mapped(fi));
   }
-  for (std::size_t i = 0; i < nl.num_inputs(); ++i)
-    bsim.set_pi_all(i, (in[i] & 1) != 0);
-  lsim.eval();
-  bsim.eval();
-  for (std::size_t k = 0; k < count; ++k) {
+  for (std::size_t i = 0; i < nl.num_inputs(); ++i) {
+    borig.set_pi_block(i, word_block(in[i]));
+    bcomp.set_pi_block(i, word_block(in[i]));
+  }
+  for (std::size_t i = 0; i < nl.num_dffs(); ++i) {
+    borig.set_state_word(i, 0, st[i]);
+    bcomp.set_state_word(i, 0, st[i]);
+  }
+  borig.eval();
+  bcomp.eval();
+  for (std::size_t k = 0; k < sample.size(); ++k) {
     const Fault& f = c.faults[sample[k]];
     for (std::size_t o = 0; o < nl.num_outputs(); ++o)
-      if (bsim.output_block(o).lane(k) !=
-          lsim.output(static_cast<int>(k), o))
+      if (borig.output_block(o).lane(k) != bcomp.output_block(o).lane(k))
         return fail("compact", "block-lane po differs for mapped " +
                                    fault::fault_name(nl, f));
     for (std::size_t i = 0; i < nl.num_dffs(); ++i)
-      if (bsim.next_state_block(i).lane(k) !=
-          lsim.next_state(static_cast<int>(k), i))
+      if (borig.next_state_block(i).lane(k) !=
+          bcomp.next_state_block(i).lane(k))
         return fail("compact",
                     "block-lane next-state differs for mapped " +
                         fault::fault_name(nl, f));
@@ -313,10 +306,10 @@ std::optional<Failure> compaction_round(const Case& c,
 }
 
 /// One stimulus round of the dispatch oracle: the same 512-lane stimulus
-/// through BlockSim under every available SIMD mode must produce the same
-/// Block at every gate (the chunked sweeps only reorder independent lane
-/// arithmetic).  active_simd() is cached per process, so the comparison
-/// uses explicit constructor modes, not the environment.
+/// through a fault-free BlockLaneSim under every available SIMD mode must
+/// produce the same Block at every gate (the chunked sweeps only reorder
+/// independent lane arithmetic).  active_simd() is cached per process, so
+/// the comparison uses explicit constructor modes, not the environment.
 std::optional<Failure> dispatch_round(const Case& c,
                                       const sim::EvalGraph::Ref& graph,
                                       Rng& rng) {
@@ -328,19 +321,21 @@ std::optional<Failure> dispatch_round(const Case& c,
   for (auto& b : st)
     for (std::size_t k = 0; k < sim::kBlockWords; ++k) b.w[k] = rng.next();
 
-  sim::BlockSim ref(graph, sim::SimdMode::Scalar);
-  for (std::size_t i = 0; i < nl.num_inputs(); ++i) ref.set_input(i, in[i]);
-  for (std::size_t i = 0; i < nl.num_dffs(); ++i) ref.set_state(i, st[i]);
-  ref.eval();
-
+  auto run = [&](sim::SimdMode mode) {
+    fault::BlockLaneSim s(graph, mode);
+    for (std::size_t i = 0; i < nl.num_inputs(); ++i)
+      s.set_pi_block(i, in[i]);
+    for (std::size_t i = 0; i < nl.num_dffs(); ++i)
+      s.set_state_block(i, st[i]);
+    s.eval();
+    return s;
+  };
+  const fault::BlockLaneSim ref = run(sim::SimdMode::Scalar);
   for (sim::SimdMode mode : {sim::SimdMode::Avx2, sim::SimdMode::Avx512}) {
     if (!sim::simd_available(mode)) continue;
-    sim::BlockSim s(graph, mode);
-    for (std::size_t i = 0; i < nl.num_inputs(); ++i) s.set_input(i, in[i]);
-    for (std::size_t i = 0; i < nl.num_dffs(); ++i) s.set_state(i, st[i]);
-    s.eval();
+    const fault::BlockLaneSim s = run(mode);
     for (GateId g = 0; g < nl.num_gates(); ++g)
-      if (!(s.value(g) == ref.value(g)))
+      if (!(s.value_block(g) == ref.value_block(g)))
         return fail("simd-dispatch",
                     std::string("gate ") + nl.gate(g).name + " differs " +
                         std::string(sim::to_string(mode)) + " vs scalar");
@@ -367,9 +362,9 @@ struct RefTrackerResult {
 
 /// Full-shift brute force: every tracked fault keeps a private fabric
 /// image and is re-evaluated from scratch with the naive reference each
-/// cycle.  No DiffSim, no LaneSim, no sharding, no fabric_diff_observable
-/// — and no scan::FabricState: fabric images are flat chain-major byte
-/// vectors advanced with ref_fabric_shift.
+/// cycle.  No DiffSim, no BlockLaneSim, no sharding, no
+/// fabric_diff_observable — and no scan::FabricState: fabric images are
+/// flat chain-major byte vectors advanced with ref_fabric_shift.
 RefTrackerResult ref_track(const Case& c) {
   const Netlist& nl = c.netlist;
   const scan::Fabric fabric = case_fabric(c);

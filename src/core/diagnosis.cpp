@@ -2,14 +2,14 @@
 
 #include <algorithm>
 
-#include "vcomp/fault/fault_parallel_sim.hpp"
+#include "vcomp/fault/block_lane_sim.hpp"
 #include "vcomp/util/assert.hpp"
 
 namespace vcomp::core {
 
 using atpg::TestVector;
 using fault::Fault;
-using fault::LaneSim;
+using fault::BlockLaneSim;
 using scan::ChainState;
 
 std::size_t ObservationStream::hamming(const ObservationStream& other) const {
@@ -32,24 +32,24 @@ ObservationStream simulate_device(const netlist::Netlist& nl,
   const std::size_t npi = nl.num_inputs();
   const std::size_t npo = nl.num_outputs();
 
-  LaneSim sim(nl);
+  BlockLaneSim sim(sim::EvalGraph::compile(nl));
   ObservationStream stream;
   ChainState chain(L);
 
   auto capture_cycle = [&](const std::vector<std::uint8_t>& pi_bits) {
     sim.clear();
     const int lane = sim.add_lane();
-    for (std::size_t i = 0; i < npi; ++i) sim.set_pi(lane, i, pi_bits[i]);
+    for (std::size_t i = 0; i < npi; ++i) sim.set_pi_all(i, pi_bits[i] != 0);
     // Chain position == dff index (identity chain order).
     for (std::size_t p = 0; p < L; ++p)
       sim.set_state(lane, p, chain.at(p) != 0);
     if (fault != nullptr) sim.inject(lane, *fault);
     sim.eval();
     for (std::size_t o = 0; o < npo; ++o)
-      stream.bits.push_back(sim.output(lane, o) ? 1 : 0);
+      stream.bits.push_back(sim.output_block(o).lane(lane) ? 1 : 0);
     std::vector<std::uint8_t> next(L);
     for (std::size_t p = 0; p < L; ++p)
-      next[p] = sim.next_state(lane, p) ? 1 : 0;
+      next[p] = sim.next_state_block(p).lane(lane) ? 1 : 0;
     chain.capture(next, capture);
   };
 

@@ -61,6 +61,11 @@ void BlockLaneSim::set_pi_all(std::size_t input_index, bool v) {
   values_[eg_->inputs()[input_index]] = Block::fill(v);
 }
 
+void BlockLaneSim::set_pi_block(std::size_t input_index, const Block& b) {
+  VCOMP_REQUIRE(input_index < eg_->num_inputs(), "input index out of range");
+  values_[eg_->inputs()[input_index]] = b;
+}
+
 void BlockLaneSim::set_state(int lane, std::size_t dff_index, bool v) {
   VCOMP_REQUIRE(lane >= 0 && lane < lanes_, "bad lane index");
   VCOMP_REQUIRE(dff_index < eg_->num_dffs(), "state index out of range");

@@ -6,31 +6,6 @@
 
 namespace vcomp::scan {
 
-ScanChain::ScanChain(const netlist::Netlist& nl) : nl_(&nl) {
-  VCOMP_REQUIRE(nl.finalized(), "ScanChain requires a finalized netlist");
-  order_.resize(nl.num_dffs());
-  pos_.resize(nl.num_dffs());
-  for (std::uint32_t i = 0; i < nl.num_dffs(); ++i) {
-    order_[i] = i;
-    pos_[i] = i;
-  }
-}
-
-ScanChain::ScanChain(const netlist::Netlist& nl,
-                     std::vector<std::uint32_t> order)
-    : nl_(&nl), order_(std::move(order)) {
-  VCOMP_REQUIRE(nl.finalized(), "ScanChain requires a finalized netlist");
-  VCOMP_REQUIRE(order_.size() == nl.num_dffs(),
-                "chain order must cover every flip-flop");
-  pos_.assign(order_.size(), order_.size());
-  for (std::size_t p = 0; p < order_.size(); ++p) {
-    VCOMP_REQUIRE(order_[p] < order_.size(), "chain order index out of range");
-    VCOMP_REQUIRE(pos_[order_[p]] == order_.size(),
-                  "chain order must be a permutation");
-    pos_[order_[p]] = p;
-  }
-}
-
 ScanOutModel ScanOutModel::direct(std::size_t length) {
   VCOMP_REQUIRE(length > 0, "empty scan chain");
   return ScanOutModel{{static_cast<std::uint32_t>(length - 1)}};

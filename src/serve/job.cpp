@@ -189,10 +189,8 @@ netlist::Netlist load_circuit(const std::string& circuit, bool full_scale) {
   return nl;
 }
 
-JobRun run_spec(const core::CircuitLab& lab, const JobSpec& spec,
-                const std::function<void(const std::string&)>& progress,
-                const std::atomic<std::size_t>* cap) {
-  const netlist::Netlist& nl = lab.netlist();
+core::StitchOptions checked_options(const netlist::Netlist& nl,
+                                    const JobSpec& spec) {
   core::StitchOptions opts = spec.options;
   for (const auto& [key, n] : {std::pair{"chains", opts.num_chains},
                                std::pair{"shift", opts.fixed_shift}})
@@ -206,7 +204,13 @@ JobRun run_spec(const core::CircuitLab& lab, const JobSpec& spec,
                   "info point %g is unattainable for this circuit", spec.info);
     throw InputError(msg);
   }
+  return opts;
+}
 
+JobRun run_spec(const core::CircuitLab& lab, const JobSpec& spec,
+                const std::function<void(const std::string&)>& progress,
+                const std::atomic<std::size_t>* cap) {
+  core::StitchOptions opts = checked_options(lab.netlist(), spec);
   JobRun run;
   if (spec.ga_shift) {
     // The search runs outside the row's counter window: it chooses the

@@ -6,7 +6,6 @@
 
 #include "vcomp/check/runner.hpp"
 #include "vcomp/netlist/bench_io.hpp"
-#include "vcomp/scan/scan_chain.hpp"
 
 namespace vcomp::check {
 namespace {
@@ -55,7 +54,6 @@ TEST(Scenario, ScheduleSatisfiesStitchingInvariant) {
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     const Scenario sc = random_scenario(seed);
     const Case c = materialize(sc);
-    const scan::ScanChain map(c.netlist);
     const std::size_t L = c.netlist.num_dffs();
     for (std::size_t ci = 0; ci < c.schedule.vectors.size(); ++ci) {
       const std::size_t s = c.schedule.shifts[ci];
@@ -64,7 +62,6 @@ TEST(Scenario, ScheduleSatisfiesStitchingInvariant) {
       const auto& v = c.schedule.vectors[ci];
       EXPECT_EQ(v.pi.size(), c.netlist.num_inputs());
       EXPECT_EQ(v.ppi.size(), L);
-      (void)map;
     }
   }
 }

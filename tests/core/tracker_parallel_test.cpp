@@ -48,19 +48,16 @@ WalkTrace run_walk(const char* name, std::size_t threads,
                                  : scan::ScanOutModel::direct(L);
   StitchTracker tracker(nl, cf, capture, out);
   Rng rng(2026);
-  const scan::ScanChain map(nl);
 
   auto random_vector = [&](std::size_t s) {
     atpg::TestVector v;
     v.pi.resize(nl.num_inputs());
     for (auto& b : v.pi) b = rng.bit();
     v.ppi.resize(L);
-    for (std::size_t p = 0; p < L; ++p) {
-      const auto dff = map.dff_at(p);
-      v.ppi[dff] = (s < L && p >= s)
-                       ? tracker.chain().at(p - s)
-                       : static_cast<std::uint8_t>(rng.bit());
-    }
+    // One identity-ordered chain: position p holds flip-flop p.
+    for (std::size_t p = 0; p < L; ++p)
+      v.ppi[p] = (s < L && p >= s) ? tracker.chain().at(p - s)
+                                   : static_cast<std::uint8_t>(rng.bit());
     return v;
   };
 

@@ -7,9 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "vcomp/check/reference.hpp"
 #include "vcomp/fault/block_lane_sim.hpp"
 #include "vcomp/fault/collapse.hpp"
-#include "vcomp/fault/fault_parallel_sim.hpp"
 #include "vcomp/fault/fault_sim.hpp"
 #include "vcomp/netgen/example_circuit.hpp"
 #include "vcomp/netgen/netgen.hpp"
@@ -138,105 +138,104 @@ TEST(CompactModel, IdentityModeSharesGraphAndMapsOneSite) {
 }
 
 /// BlockLaneSim with per-lane mapped faults on the compacted graph must
-/// agree with LaneSim with the original faults on the original graph —
-/// the exact configuration the tracker's hidden-advance uses.
-TEST(BlockLaneSim, MappedLanesMatchLaneSimOnOriginal) {
+/// agree with BlockLaneSim with the original faults on the original graph —
+/// the exact configuration the tracker's hidden-advance uses — over one
+/// 512-lane batch.
+TEST(BlockLaneSim, MappedLanesMatchPlainFaultsOnOriginal) {
   const auto nl = netgen::generate("s526");
   const auto cf = collapsed_fault_list(nl);
   auto graph = EvalGraph::compile(nl);
   CompactModel model(graph, cf.faults(), /*enable=*/true);
 
-  LaneSim ref(graph);
+  BlockLaneSim ref(graph);
   BlockLaneSim cut(model.graph());
   Rng rng(0xb10cull);
   const std::size_t batch =
       std::min<std::size_t>(cf.faults().size(), sim::kBlockLanes);
 
-  // Shared test vector, per-lane state, per-lane fault.  LaneSim holds 64
-  // lanes, so compare the Block batch against tiled 64-lane batches.
+  // Shared test vector, per-lane state, per-lane fault.
   std::vector<std::uint8_t> pis(graph->num_inputs());
   for (auto& b : pis) b = rng.next() & 1;
   std::vector<Block> states(graph->num_dffs(), Block::zero());
   for (auto& s : states)
     for (std::size_t k = 0; k < sim::kBlockWords; ++k) s.w[k] = rng.next();
 
-  cut.clear();
   for (std::size_t l = 0; l < batch; ++l) {
-    const int lane = cut.add_lane();
-    cut.inject_mapped(lane, model.mapped(l));
+    ref.inject(ref.add_lane(), cf.faults()[l]);
+    cut.inject_mapped(cut.add_lane(), model.mapped(l));
   }
-  for (std::size_t i = 0; i < pis.size(); ++i) cut.set_pi_all(i, pis[i] != 0);
-  for (std::size_t i = 0; i < states.size(); ++i)
-    cut.set_state_block(i, states[i]);
-  cut.eval();
-
-  for (std::size_t base = 0; base < batch; base += 64) {
-    const std::size_t k = base / 64;
-    const std::size_t n = std::min<std::size_t>(64, batch - base);
-    ref.clear();
-    for (std::size_t l = 0; l < n; ++l) {
-      const int lane = ref.add_lane();
-      ref.inject(lane, cf.faults()[base + l]);
-    }
+  for (BlockLaneSim* s : {&ref, &cut}) {
     for (std::size_t i = 0; i < pis.size(); ++i)
-      ref.set_pi_all(i, pis[i] != 0);
+      s->set_pi_all(i, pis[i] != 0);
     for (std::size_t i = 0; i < states.size(); ++i)
-      ref.set_state_word(i, states[i].w[k]);
-    ref.eval();
-
-    const Word mask =
-        n == 64 ? ~Word{0} : ((Word{1} << n) - 1);
-    for (std::size_t o = 0; o < graph->num_outputs(); ++o)
-      EXPECT_EQ(ref.output_word(o) & mask, cut.output_block(o).w[k] & mask)
-          << "po " << o << " word " << k;
-    for (std::size_t d = 0; d < graph->num_dffs(); ++d)
-      EXPECT_EQ(ref.next_state_word(d) & mask,
-                cut.next_state_block(d).w[k] & mask)
-          << "dff " << d << " word " << k;
+      s->set_state_block(i, states[i]);
+    s->eval();
   }
+
+  const Block mask = Block::lane_mask(batch);
+  for (std::size_t o = 0; o < graph->num_outputs(); ++o)
+    EXPECT_EQ(ref.output_block(o) & mask, cut.output_block(o) & mask)
+        << "po " << o;
+  for (std::size_t d = 0; d < graph->num_dffs(); ++d)
+    EXPECT_EQ(ref.next_state_block(d) & mask,
+              cut.next_state_block(d) & mask)
+        << "dff " << d;
 }
 
-/// BlockLaneSim and LaneSim agree lane-for-lane on the *same* graph with
-/// plain faults, across every available dispatch mode.
-TEST(BlockLaneSim, MatchesLaneSimPerDispatchMode) {
+/// BlockLaneSim agrees lane for lane with the naive reference evaluator,
+/// with its own stimulus and fault in each of the 512 lanes, under every
+/// available dispatch mode.
+TEST(BlockLaneSim, MatchesReferencePerDispatchMode) {
   const auto nl = netgen::generate("s444");
   const auto cf = collapsed_fault_list(nl);
   auto graph = EvalGraph::compile(nl);
   Rng rng(7u);
 
-  std::vector<std::uint8_t> pis(graph->num_inputs());
-  for (auto& b : pis) b = rng.next() & 1;
-  std::vector<Word> states(graph->num_dffs());
-  for (auto& s : states) s = rng.next();
-  const std::size_t n = std::min<std::size_t>(cf.faults().size(), 64);
+  // Word k of each source holds the patterns of lanes 64k .. 64k+63.
+  std::vector<std::vector<Word>> src(sim::kBlockWords);
+  for (auto& words : src) {
+    words.assign(nl.num_gates(), 0);
+    for (GateId g : nl.inputs()) words[g] = rng.next();
+    for (GateId g : nl.dffs()) words[g] = rng.next();
+  }
+  auto lane_fault = [&](std::size_t l) -> const Fault& {
+    return cf.faults()[l % cf.faults().size()];
+  };
 
-  LaneSim ref(graph);
-  ref.clear();
-  for (std::size_t l = 0; l < n; ++l) ref.inject(ref.add_lane(),
-                                                 cf.faults()[l]);
-  for (std::size_t i = 0; i < pis.size(); ++i) ref.set_pi_all(i, pis[i] != 0);
-  for (std::size_t i = 0; i < states.size(); ++i)
-    ref.set_state_word(i, states[i]);
-  ref.eval();
+  std::vector<Block> want_po(nl.num_outputs(), Block::zero());
+  std::vector<Block> want_ns(nl.num_dffs(), Block::zero());
+  for (std::size_t l = 0; l < sim::kBlockLanes; ++l) {
+    const Fault& f = lane_fault(l);
+    std::vector<Word> bad = src[l / 64];
+    check::ref_faulty_eval(nl, bad, f);
+    for (std::size_t o = 0; o < nl.num_outputs(); ++o)
+      want_po[o].set_lane(l, (bad[nl.outputs()[o]] >> (l % 64)) & 1);
+    for (std::size_t d = 0; d < nl.num_dffs(); ++d)
+      want_ns[d].set_lane(
+          l, (check::ref_next_state(nl, bad, &f, d) >> (l % 64)) & 1);
+  }
 
   for (sim::SimdMode mode :
        {sim::SimdMode::Scalar, sim::SimdMode::Avx2, sim::SimdMode::Avx512}) {
     if (!sim::simd_available(mode)) continue;
     BlockLaneSim cut(graph, mode);
-    for (std::size_t l = 0; l < n; ++l) cut.inject(cut.add_lane(),
-                                                   cf.faults()[l]);
-    for (std::size_t i = 0; i < pis.size(); ++i)
-      cut.set_pi_all(i, pis[i] != 0);
-    for (std::size_t i = 0; i < states.size(); ++i)
-      cut.set_state_word(i, 0, states[i]);
+    for (std::size_t l = 0; l < sim::kBlockLanes; ++l)
+      cut.inject(cut.add_lane(), lane_fault(l));
+    for (std::size_t i = 0; i < nl.num_inputs(); ++i) {
+      Block b;
+      for (std::size_t k = 0; k < sim::kBlockWords; ++k)
+        b.w[k] = src[k][nl.inputs()[i]];
+      cut.set_pi_block(i, b);
+    }
+    for (std::size_t i = 0; i < nl.num_dffs(); ++i)
+      for (std::size_t k = 0; k < sim::kBlockWords; ++k)
+        cut.set_state_word(i, k, src[k][nl.dffs()[i]]);
     cut.eval();
-    const Word mask = n == 64 ? ~Word{0} : ((Word{1} << n) - 1);
-    for (std::size_t o = 0; o < graph->num_outputs(); ++o)
-      EXPECT_EQ(ref.output_word(o) & mask, cut.output_block(o).w[0] & mask)
+    for (std::size_t o = 0; o < nl.num_outputs(); ++o)
+      EXPECT_EQ(cut.output_block(o), want_po[o])
           << to_string(mode) << " po " << o;
-    for (std::size_t d = 0; d < graph->num_dffs(); ++d)
-      EXPECT_EQ(ref.next_state_word(d) & mask,
-                cut.next_state_block(d).w[0] & mask)
+    for (std::size_t d = 0; d < nl.num_dffs(); ++d)
+      EXPECT_EQ(cut.next_state_block(d), want_ns[d])
           << to_string(mode) << " dff " << d;
   }
 }

@@ -4,8 +4,8 @@
 
 #include "vcomp/util/assert.hpp"
 
+#include "vcomp/fault/block_lane_sim.hpp"
 #include "vcomp/fault/collapse.hpp"
-#include "vcomp/fault/fault_parallel_sim.hpp"
 #include "vcomp/netgen/example_circuit.hpp"
 #include "vcomp/netgen/netgen.hpp"
 #include "vcomp/util/rng.hpp"
@@ -106,13 +106,14 @@ TEST(DiffSim, RedundantFaultNeverDetected) {
 }
 
 // Differential test: the event-driven DiffSim against the independent
-// full-pass LaneSim, over random stimuli and every collapsed fault.
-TEST(DiffSim, AgreesWithLaneSim) {
+// full-pass BlockLaneSim, over random stimuli and every collapsed fault.
+TEST(DiffSim, AgreesWithBlockLaneSim) {
   auto nl = netgen::generate("s444");
   auto cf = collapsed_fault_list(nl);
   DiffSim dsim(nl);
-  LaneSim lanes(nl);
+  BlockLaneSim lanes(sim::EvalGraph::compile(nl));
   Rng rng(1234);
+  const std::size_t fault_lanes = sim::kBlockLanes - 1;  // plus a good lane
 
   for (int trial = 0; trial < 4; ++trial) {
     std::vector<std::uint8_t> pi(nl.num_inputs()), st(nl.num_dffs());
@@ -125,30 +126,26 @@ TEST(DiffSim, AgreesWithLaneSim) {
       dsim.good().set_state(i, st[i] ? ~Word{0} : Word{0});
     dsim.commit_good();
 
-    for (std::size_t base = 0; base < cf.size(); base += 63) {
-      const std::size_t count = std::min<std::size_t>(63, cf.size() - base);
+    for (std::size_t base = 0; base < cf.size(); base += fault_lanes) {
+      const std::size_t count = std::min(fault_lanes, cf.size() - base);
       lanes.clear();
-      const int good_lane = lanes.add_lane();
+      const std::size_t good_lane = lanes.add_lane();
+      for (std::size_t k = 0; k < count; ++k)
+        lanes.inject(lanes.add_lane(), cf[base + k]);
       for (std::size_t i = 0; i < pi.size(); ++i)
-        lanes.set_pi(good_lane, i, pi[i]);
+        lanes.set_pi_all(i, pi[i] != 0);
       for (std::size_t i = 0; i < st.size(); ++i)
-        lanes.set_state(good_lane, i, st[i]);
-      for (std::size_t k = 0; k < count; ++k) {
-        const int lane = lanes.add_lane();
-        for (std::size_t i = 0; i < pi.size(); ++i)
-          lanes.set_pi(lane, i, pi[i]);
-        for (std::size_t i = 0; i < st.size(); ++i)
-          lanes.set_state(lane, i, st[i]);
-        lanes.inject(lane, cf[base + k]);
-      }
+        lanes.set_state_block(i, sim::Block::fill(st[i] != 0));
       lanes.eval();
       for (std::size_t k = 0; k < count; ++k) {
-        const int lane = 1 + static_cast<int>(k);
+        const std::size_t lane = 1 + k;
         const auto eff = dsim.simulate(cf[base + k]);
         // Compare PO difference.
         bool lane_po_diff = false;
-        for (std::size_t o = 0; o < nl.num_outputs(); ++o)
-          lane_po_diff |= lanes.output(lane, o) != lanes.output(good_lane, o);
+        for (std::size_t o = 0; o < nl.num_outputs(); ++o) {
+          const sim::Block& out = lanes.output_block(o);
+          lane_po_diff |= out.lane(lane) != out.lane(good_lane);
+        }
         EXPECT_EQ(lane_po_diff, (eff.po_any & 1) != 0)
             << fault_name(nl, cf[base + k]);
         // Compare every captured bit.
@@ -156,9 +153,8 @@ TEST(DiffSim, AgreesWithLaneSim) {
         for (const auto& d : eff.ppo_diffs)
           if (d.diff & 1) dsim_diff[d.dff_index] = 1;
         for (std::size_t dff = 0; dff < nl.num_dffs(); ++dff) {
-          const bool lane_diff = lanes.next_state(lane, dff) !=
-                                 lanes.next_state(good_lane, dff);
-          ASSERT_EQ(lane_diff, dsim_diff[dff] != 0)
+          const sim::Block ns = lanes.next_state_block(dff);
+          ASSERT_EQ(ns.lane(lane) != ns.lane(good_lane), dsim_diff[dff] != 0)
               << fault_name(nl, cf[base + k]) << " dff " << dff;
         }
       }
@@ -180,16 +176,16 @@ TEST(DiffSim, SparseEffectsResetBetweenFaults) {
   EXPECT_NE(sim.simulate(by_name(nl, cf, "b/0")).any(), Word{0});
 }
 
-TEST(LaneSim, RejectsTooManyLanes) {
+TEST(BlockLaneSim, RejectsTooManyLanes) {
   auto nl = netgen::example_circuit();
-  LaneSim lanes(nl);
-  for (int i = 0; i < 64; ++i) lanes.add_lane();
+  BlockLaneSim lanes(sim::EvalGraph::compile(nl));
+  for (std::size_t i = 0; i < sim::kBlockLanes; ++i) lanes.add_lane();
   EXPECT_THROW(lanes.add_lane(), vcomp::ContractError);
 }
 
-TEST(LaneSim, DffPinFaultOnlyPerturbsCapture) {
+TEST(BlockLaneSim, DffPinFaultOnlyPerturbsCapture) {
   auto nl = netgen::example_circuit();
-  LaneSim lanes(nl);
+  BlockLaneSim lanes(sim::EvalGraph::compile(nl));
   const int good = lanes.add_lane();
   const int bad = lanes.add_lane();
   // TV 110: D-c/0 flips only the bit captured into cell c.
@@ -200,10 +196,12 @@ TEST(LaneSim, DffPinFaultOnlyPerturbsCapture) {
   }
   lanes.inject(bad, Fault{nl.find("c"), 0, 0});
   lanes.eval();
-  EXPECT_EQ(lanes.next_state(good, 2), true);
-  EXPECT_EQ(lanes.next_state(bad, 2), false);
-  EXPECT_EQ(lanes.next_state(bad, 0), lanes.next_state(good, 0));
-  EXPECT_EQ(lanes.next_state(bad, 1), lanes.next_state(good, 1));
+  EXPECT_EQ(lanes.next_state_block(2).lane(good), true);
+  EXPECT_EQ(lanes.next_state_block(2).lane(bad), false);
+  EXPECT_EQ(lanes.next_state_block(0).lane(bad),
+            lanes.next_state_block(0).lane(good));
+  EXPECT_EQ(lanes.next_state_block(1).lane(bad),
+            lanes.next_state_block(1).lane(good));
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 // counter/gauge/histogram semantics, deterministic cross-thread merges,
 // span nesting, Chrome-trace JSON schema, and registry reset between
 // cases.  Every test starts from a reset registry and an enabled runtime
-// gate, so cases are order-independent within this binary.
+// gate.  A reset zeroes values but keeps every name an earlier test
+// registered, so tests look their own entries up by name and never count
+// the entries of a snapshot; that keeps them order-independent when the
+// binary runs as one process.
 //
 // When the layer is compiled out (-DVCOMP_OBS=OFF) the registry is inert
 // by design; those builds skip the semantic tests and instead assert the
@@ -45,6 +48,23 @@ std::uint64_t counter_value(const Snapshot& s, const std::string& name) {
   return 0;
 }
 
+/// The gauge or timing named \p name in one snapshot section, or null.
+template <typename V>
+const std::pair<std::string, V>* find_named(
+    const std::vector<std::pair<std::string, V>>& entries,
+    const std::string& name) {
+  for (const auto& e : entries)
+    if (e.first == name) return &e;
+  return nullptr;
+}
+
+const HistogramSnapshot* find_histogram(const Snapshot& s,
+                                        const std::string& name) {
+  for (const auto& h : s.histograms)
+    if (h.name == name) return &h;
+  return nullptr;
+}
+
 TEST_F(ObsTest, CounterSumsAndIgnoresZero) {
   SKIP_WHEN_COMPILED_OUT();
   const Counter c = counter("test.counter");
@@ -75,9 +95,9 @@ TEST_F(ObsTest, GaugeKeepsHighWaterMark) {
   g.record(9);
   g.record(3);  // below the mark: must not lower it
   const Snapshot s = Registry::instance().snapshot();
-  ASSERT_EQ(s.gauges.size(), 1u);
-  EXPECT_EQ(s.gauges[0].first, "test.gauge");
-  EXPECT_EQ(s.gauges[0].second, 9u);
+  const auto* mark = find_named(s.gauges, "test.gauge");
+  ASSERT_NE(mark, nullptr);
+  EXPECT_EQ(mark->second, 9u);
 }
 
 TEST_F(ObsTest, HistogramBucketsByBitWidth) {
@@ -89,9 +109,9 @@ TEST_F(ObsTest, HistogramBucketsByBitWidth) {
   h.record(3);  // bucket 2
   h.record(7);  // bucket 3
   const Snapshot s = Registry::instance().snapshot();
-  ASSERT_EQ(s.histograms.size(), 1u);
-  const HistogramSnapshot& hs = s.histograms[0];
-  EXPECT_EQ(hs.name, "test.hist");
+  const HistogramSnapshot* found = find_histogram(s, "test.hist");
+  ASSERT_NE(found, nullptr);
+  const HistogramSnapshot& hs = *found;
   EXPECT_EQ(hs.count, 5u);
   EXPECT_EQ(hs.sum, 13u);
   EXPECT_EQ(hs.min, 0u);
@@ -104,10 +124,11 @@ TEST_F(ObsTest, EmptyHistogramNormalizesMinToZero) {
   SKIP_WHEN_COMPILED_OUT();
   (void)histogram("test.hist_empty");
   const Snapshot s = Registry::instance().snapshot();
-  ASSERT_EQ(s.histograms.size(), 1u);
-  EXPECT_EQ(s.histograms[0].count, 0u);
-  EXPECT_EQ(s.histograms[0].min, 0u);  // not the internal UINT64_MAX sentinel
-  EXPECT_TRUE(s.histograms[0].buckets.empty());
+  const HistogramSnapshot* h = find_histogram(s, "test.hist_empty");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, 0u);
+  EXPECT_EQ(h->min, 0u);  // not the internal UINT64_MAX sentinel
+  EXPECT_TRUE(h->buckets.empty());
 }
 
 TEST_F(ObsTest, MergeAcrossThreadsIsDeterministic) {
@@ -167,10 +188,12 @@ TEST_F(ObsTest, ResetZeroesValuesAndKeepsNames) {
   Registry::instance().reset();
   const Snapshot s = Registry::instance().snapshot();
   EXPECT_EQ(counter_value(s, "test.reset"), 0u);
-  ASSERT_EQ(s.gauges.size(), 1u);
-  EXPECT_EQ(s.gauges[0].second, 0u);
-  ASSERT_EQ(s.histograms.size(), 1u);
-  EXPECT_EQ(s.histograms[0].count, 0u);
+  const auto* g = find_named(s.gauges, "test.reset_gauge");
+  ASSERT_NE(g, nullptr);
+  EXPECT_EQ(g->second, 0u);
+  const HistogramSnapshot* h = find_histogram(s, "test.reset_hist");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, 0u);
   // The slot survives: the old handle keeps working after the reset.
   counter("test.reset").inc();
   EXPECT_EQ(counter_value(Registry::instance().snapshot(), "test.reset"), 1u);
@@ -194,8 +217,9 @@ TEST_F(ObsTest, CountersOnlyExcludesTimingsAndSorts) {
   gauge("test.a_gauge").record(4);
   histogram("test.k_hist").record(6);
   const Snapshot s = Registry::instance().snapshot();
-  ASSERT_EQ(s.timings.size(), 1u);
-  EXPECT_DOUBLE_EQ(s.timings[0].second, 1.5);
+  const auto* t = find_named(s.timings, "test.z_timer");
+  ASSERT_NE(t, nullptr);
+  EXPECT_DOUBLE_EQ(t->second, 1.5);
 
   const CounterSet cs = s.counters_only();
   for (const auto& [name, value] : cs.values)
@@ -378,9 +402,9 @@ TEST_F(ObsTest, SpanFeedsTimerFromOneClockRead) {
   const Timer t = timer("test.span_timer");
   { const Span s("timed", t); }
   const Snapshot s = Registry::instance().snapshot();
-  ASSERT_EQ(s.timings.size(), 1u);
-  EXPECT_EQ(s.timings[0].first, "test.span_timer");
-  EXPECT_GE(s.timings[0].second, 0.0);
+  const auto* timing = find_named(s.timings, "test.span_timer");
+  ASSERT_NE(timing, nullptr);
+  EXPECT_GE(timing->second, 0.0);
 }
 
 }  // namespace

@@ -3,31 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "vcomp/util/assert.hpp"
-
-#include "vcomp/netgen/example_circuit.hpp"
 #include "vcomp/util/rng.hpp"
 
 namespace vcomp::scan {
 namespace {
 
 using Bits = std::vector<std::uint8_t>;
-
-TEST(ScanChain, IdentityOrder) {
-  auto nl = netgen::example_circuit();
-  ScanChain chain(nl);
-  EXPECT_EQ(chain.length(), 3u);
-  for (std::size_t p = 0; p < 3; ++p) {
-    EXPECT_EQ(chain.dff_at(p), p);
-    EXPECT_EQ(chain.pos_of(static_cast<std::uint32_t>(p)), p);
-  }
-}
-
-TEST(ScanChain, CustomOrderValidated) {
-  auto nl = netgen::example_circuit();
-  EXPECT_NO_THROW(ScanChain(nl, {2, 0, 1}));
-  EXPECT_THROW(ScanChain(nl, {0, 0, 1}), vcomp::ContractError);
-  EXPECT_THROW(ScanChain(nl, {0, 1}), vcomp::ContractError);
-}
 
 // The paper's stitching example: state 111 (a,b,c), shift in "00"; the
 // retained bit from cell a must land in cell c and the new bits fill a, b.

@@ -122,6 +122,8 @@ TEST(CliParity, BadInputsGetOneMessageOnBothSurfaces) {
        "info must be a number in (0,1]"},
       {"gen:s444 --shift 1000", "gen:s444", R"({"shift":1000})",
        "shift 1000 exceeds the circuit's 21 scan cells"},
+      {"gen:s444 --info 0.1", "gen:s444", R"({"info":0.1})",
+       "info point 0.1 is unattainable for this circuit"},
       {"gen:s444 --ga-pop 0", "gen:s444", R"({"ga_pop":0})",
        "ga_pop must be an integer >= 3"},
       {"gen:nosuch", "gen:nosuch", "{}", "unknown circuit profile: nosuch"},
@@ -140,6 +142,9 @@ TEST(CliParity, BadInputsGetOneMessageOnBothSurfaces) {
         << c.cli << "\n" << cli.output;
     EXPECT_EQ(cli.output.find("precondition failed"), std::string::npos)
         << cli.output;
+    // Every bad input fails before the lab's baseline ATPG runs.
+    EXPECT_EQ(cli.output.find("baseline:"), std::string::npos)
+        << c.cli << "\n" << cli.output;
 
     const std::optional<Json> event =
         Json::parse(daemon_final(c.circuit, c.config));

@@ -5,8 +5,9 @@
 // builder netlist's topo order, gathers fanin values into a scratch buffer
 // and calls the plain gate kernels — exactly what the simulators did before
 // the CSR/levelized refactor.  Random netgen circuits drive every engine
-// (WordSim, TernarySim, DiffSim, LaneSim) against that reference, and the
-// thread-count tests pin down that VCOMP_THREADS never leaks into results.
+// (WordSim, TernarySim, DiffSim, BlockLaneSim) against that reference, and
+// the thread-count tests pin down that VCOMP_THREADS never leaks into
+// results.
 
 #include <gtest/gtest.h>
 
@@ -15,11 +16,12 @@
 #include <vector>
 
 #include "vcomp/atpg/test_set.hpp"
+#include "vcomp/fault/block_lane_sim.hpp"
 #include "vcomp/fault/fault.hpp"
-#include "vcomp/fault/fault_parallel_sim.hpp"
 #include "vcomp/fault/fault_sim.hpp"
 #include "vcomp/netgen/netgen.hpp"
 #include "vcomp/sim/eval_graph.hpp"
+#include "vcomp/sim/simd_dispatch.hpp"
 #include "vcomp/sim/ternary_sim.hpp"
 #include "vcomp/sim/word_sim.hpp"
 #include "vcomp/tmeas/hardness.hpp"
@@ -241,39 +243,52 @@ TEST(EvalGraphGolden, DiffSimMatchesForkedReference) {
   }
 }
 
-TEST(EvalGraphGolden, LaneSimMatchesForkedReference) {
+TEST(EvalGraphGolden, BlockLaneSimMatchesForkedReference) {
   Rng rng(19);
   const Netlist nl = circuit("s444", 31);
   const auto faults = fault::full_fault_universe(nl);
-  fault::LaneSim sim(nl);
+  const auto graph = EvalGraph::compile(nl);
 
-  // One single-pattern stimulus (bit 0 of a random word per source).
-  const std::vector<Word> src = random_sources(nl, rng);
+  // Word k of every source holds the stimuli of lanes 64k .. 64k+63, so
+  // each lane sees its own pattern as well as its own fault.
+  std::vector<std::vector<Word>> src;
+  for (std::size_t k = 0; k < kBlockWords; ++k)
+    src.push_back(random_sources(nl, rng));
 
-  for (std::size_t base = 0; base < faults.size(); base += 64) {
-    const std::size_t count = std::min<std::size_t>(64, faults.size() - base);
-    sim.clear();
-    for (std::size_t k = 0; k < count; ++k) {
-      const int lane = sim.add_lane();
-      for (std::size_t i = 0; i < nl.num_inputs(); ++i)
-        sim.set_pi(lane, i, src[nl.inputs()[i]] & 1);
+  for (SimdMode mode : {SimdMode::Scalar, SimdMode::Avx2, SimdMode::Avx512}) {
+    if (!simd_available(mode)) continue;
+    SCOPED_TRACE(to_string(mode));
+    fault::BlockLaneSim sim(graph, mode);
+    for (std::size_t base = 0; base < faults.size(); base += kBlockLanes) {
+      const std::size_t count = std::min(kBlockLanes, faults.size() - base);
+      sim.clear();
+      for (std::size_t l = 0; l < count; ++l)
+        sim.inject(sim.add_lane(), faults[base + l]);
+      for (std::size_t i = 0; i < nl.num_inputs(); ++i) {
+        Block b;
+        for (std::size_t k = 0; k < kBlockWords; ++k)
+          b.w[k] = src[k][nl.inputs()[i]];
+        sim.set_pi_block(i, b);
+      }
       for (std::size_t i = 0; i < nl.num_dffs(); ++i)
-        sim.set_state(lane, i, src[nl.dffs()[i]] & 1);
-      sim.inject(lane, faults[base + k]);
-    }
-    sim.eval();
-    for (std::size_t k = 0; k < count; ++k) {
-      const Fault& f = faults[base + k];
-      std::vector<Word> bad = src;
-      ref_faulty_eval(nl, bad, f);
-      for (std::size_t o = 0; o < nl.num_outputs(); ++o)
-        ASSERT_EQ(sim.output(static_cast<int>(k), o),
-                  static_cast<bool>(bad[nl.outputs()[o]] & 1))
-            << fault::fault_name(nl, f) << " po " << o;
-      for (std::size_t i = 0; i < nl.num_dffs(); ++i)
-        ASSERT_EQ(sim.next_state(static_cast<int>(k), i),
-                  static_cast<bool>(ref_faulty_next(nl, bad, f, i) & 1))
-            << fault::fault_name(nl, f) << " dff " << i;
+        for (std::size_t k = 0; k < kBlockWords; ++k)
+          sim.set_state_word(i, k, src[k][nl.dffs()[i]]);
+      sim.eval();
+      for (std::size_t l = 0; l < count; ++l) {
+        const Fault& f = faults[base + l];
+        std::vector<Word> bad = src[l / 64];
+        ref_faulty_eval(nl, bad, f);
+        const std::size_t bit = l % 64;
+        for (std::size_t o = 0; o < nl.num_outputs(); ++o)
+          ASSERT_EQ(sim.output_block(o).lane(l),
+                    static_cast<bool>((bad[nl.outputs()[o]] >> bit) & 1))
+              << fault::fault_name(nl, f) << " lane " << l << " po " << o;
+        for (std::size_t i = 0; i < nl.num_dffs(); ++i)
+          ASSERT_EQ(sim.next_state_block(i).lane(l),
+                    static_cast<bool>((ref_faulty_next(nl, bad, f, i) >> bit) &
+                                      1))
+              << fault::fault_name(nl, f) << " lane " << l << " dff " << i;
+      }
     }
   }
 }

@@ -112,6 +112,7 @@ int run(const std::vector<std::string>& args) {
   if (!trace_path.empty()) obs::set_trace_enabled(true);
 
   netlist::Netlist nl = serve::load_circuit(spec.circuit, spec.full_scale);
+  serve::checked_options(nl, spec);  // bad sizes fail before baseline ATPG
   std::printf("netlist: %zu PIs, %zu POs, %zu scan cells, %zu gates  "
               "(%zu threads)\n",
               nl.num_inputs(), nl.num_outputs(), nl.num_dffs(),
