@@ -15,7 +15,7 @@
 
 #include "vcomp/core/experiment.hpp"
 #include "vcomp/report/table.hpp"
-#include "vcomp/scan/observe.hpp"
+#include "vcomp/scan/fabric.hpp"
 
 using namespace vcomp;
 
@@ -54,15 +54,15 @@ int main() {
 
   // A deep difference is visible immediately under HXOR, invisible under
   // direct observation.
-  const std::vector<std::uint8_t> deep_diff{0, 1, 0, 0, 0, 0};
+  const scan::FabricState faulty({scan::ChainState{{0, 1, 0, 0, 0, 0}}});
+  const scan::FabricState good({scan::ChainState{6}});
+  const auto sees = [&](const scan::ScanOutModel& m) {
+    return scan::observes_difference(faulty, good, {1}, {{m}}) ? "yes" : "no";
+  };
   std::printf("  difference at cell b, one observation cycle:\n");
   std::printf("    direct scan-out sees it: %s\n",
-              scan::diff_observable(deep_diff, 1,
-                                    scan::ScanOutModel::direct(6))
-                  ? "yes"
-                  : "no");
-  std::printf("    HXOR scan-out sees it:   %s\n\n",
-              scan::diff_observable(deep_diff, 1, hx) ? "yes" : "no");
+              sees(scan::ScanOutModel::direct(6)));
+  std::printf("    HXOR scan-out sees it:   %s\n\n", sees(hx));
 
   // ---- Measured effect on a benchmark (Table-3 style) -------------------
   std::printf("Measured on the s526 profile (variable shift, most-faults):\n");

@@ -17,13 +17,14 @@
 ///    off — and the two digests (CycleStats, fault states, work counters)
 ///    must be byte-identical;
 ///  * the flush oracle — scan fabrics are linear networks over GF(2), so
-///    shifting a flush stream through a loaded fabric must obey
-///    superposition: obs(state, flush) == obs(state, 0) xor obs(0, flush),
-///    and likewise for the post-shift contents.  The compiled
-///    FabricState::shift path is held to that identity against the naive
-///    per-chain reference, and partially-shifted fabrics are checked to
-///    slide — never corrupt — each chain's retained region (the 2-D
-///    stitching invariant);
+///    the post-flush contents of (state, flush) must equal those of
+///    (state, 0) xor (0, flush); partially-shifted fabrics must slide —
+///    never corrupt — each chain's retained region (the 2-D stitching
+///    invariant); every chain's closed-form ChainState::shift observations
+///    must equal the per-bit reference's; and scan::observes_difference
+///    must hold exactly when two fabrics' reference streams under one
+///    shared scan-in stream differ (superposition again: the catch rule
+///    ignores the scan-in bits);
 ///  * the ATPG engine oracle — PODEM and the built-in CDCL SAT backend are
 ///    asked for a cube for the same fault under the same random PPI
 ///    constraints; any Success cube must honour the pins and detect the
@@ -71,9 +72,10 @@ std::optional<Failure> check_compaction(const Case& c,
                                         std::size_t rounds);
 
 /// GF(2) flush oracle on \p rounds random states and flush streams: the
-/// compiled FabricState shift path vs the naive per-chain reference under
-/// the superposition identity, plus the retained-region slide check on a
-/// random partial plan.
+/// compiled FabricState shift vs the naive per-chain reference under the
+/// superposition identity, the retained-region slide check and every
+/// chain's closed-form observations on a random partial plan, and the
+/// catch rule (scan::observes_difference) against the reference streams.
 std::optional<Failure> check_flush(const Case& c, std::uint64_t flush_seed,
                                    std::size_t rounds);
 

@@ -8,15 +8,16 @@
 /// and advances them through applied test vectors:
 ///
 ///   apply_first(v)           — full load of vector 1, apply, classify;
-///   apply_stitched(v, plan)  — shift plan[c] bits into chain c (hidden
-///                              faults whose fabrics emit different scan-out
-///                              values on any chain are caught here), apply,
+///   apply_stitched(v, plan)  — shift plan[c] bits into chain c (a hidden
+///                              fault whose pre-shift fabric differs
+///                              observably, by scan::observes_difference,
+///                              is caught here and not shifted), apply,
 ///                              classify new hidden/caught faults, and
 ///                              advance every surviving hidden fault through
 ///                              its privately mutated vector T_f;
-///   terminal_observe(plan)   — observe the tail plan[c] cells of every
+///   terminal_observe(plan)   — observe plan[c] shift-out cycles of every
 ///                              chain once, catching hidden faults whose
-///                              difference is visible.
+///                              difference is visible (the same rule).
 ///
 /// Scalar overloads take a master shift size s and apportion it over the
 /// chains with Fabric::plan_for; with one chain they are exactly the
@@ -45,7 +46,7 @@
 #include "vcomp/fault/fault_sim.hpp"
 #include "vcomp/core/fault_sets.hpp"
 #include "vcomp/obs/metrics.hpp"
-#include "vcomp/scan/observe.hpp"
+#include "vcomp/scan/fabric.hpp"
 
 namespace vcomp::core {
 
@@ -202,9 +203,8 @@ class StitchTracker {
 
   // Reused per-cycle scratch (one apply() per stitched cycle; none of
   // these may allocate in steady state).
-  std::vector<std::uint8_t> by_pos_, in_bits_, obs_ff_, obs_f_, pre_capture_,
-      po_ff_, ppo_ff_, faulty_next_;
-  mutable std::vector<std::uint8_t> diff_;    // observe-scan scratch
+  std::vector<std::uint8_t> by_pos_, in_bits_, pre_capture_, po_ff_, ppo_ff_,
+      faulty_next_;
   std::vector<std::size_t> hidden_before_, batch_, classify_;
   mutable std::vector<std::size_t> observe_list_;
   std::vector<sim::Block> state_blocks_, next_blocks_;

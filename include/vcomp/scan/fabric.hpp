@@ -13,8 +13,8 @@
 ///    head and L_c-1 the scan-out tail (the ChainState convention);
 ///  * the *flat* view lays the chains out chain-major: flat position
 ///    chain_offset(c) + p addresses position p of chain c.  Every per-cell
-///    buffer of the tracker (capture bits, pre-capture snapshots, diff
-///    masks) is indexed by flat position;
+///    buffer of the tracker (capture bits, pre-capture snapshots, capture
+///    flips) is indexed by flat position;
 ///  * a ShiftPlan holds one shift count per chain.  plan_for(s) apportions
 ///    a master shift size s over the chains by the largest-remainder
 ///    method, so sum(plan) == s and each chain's share is proportional to
@@ -156,8 +156,6 @@ class FabricState {
   std::size_t num_chains() const { return chains_.size(); }
   std::size_t total_length() const { return offsets_.back(); }
   const ChainState& chain(std::size_t c) const { return chains_[c]; }
-  ChainState& mutable_chain(std::size_t c) { return chains_[c]; }
-  std::uint8_t at_flat(std::size_t flat_pos) const;
 
   /// Parallel load of every chain; \p bits are flat chain-major.
   void load(std::span<const std::uint8_t> bits);
@@ -166,13 +164,13 @@ class FabricState {
   /// capacity reused).
   void flat_bits(std::vector<std::uint8_t>& out) const;
 
-  /// Shifts plan[c] cycles into chain c.  \p in_bits holds the scan-in
-  /// streams flat chain-major (plan[0] bits for chain 0 first; within a
-  /// chain, bit j enters at the head on that chain's cycle j).  Observed
-  /// bits are appended to \p observed in the same chain-major order
-  /// (cleared first, capacity reused).
-  void shift(const ShiftPlan& plan, std::span<const std::uint8_t> in_bits,
-             const FabricOut& out, std::vector<std::uint8_t>& observed);
+  /// Shifts plan[c] cycles into chain c, moving cells only
+  /// (observes_difference decides what the ATE reads).  \p in_bits holds
+  /// the scan-in streams flat chain-major (plan[0] bits for chain 0
+  /// first; within a chain, bit j enters at the head on that chain's
+  /// cycle j).  The plan's arity, each chain's length and sum(plan) ==
+  /// in_bits.size() are checked before any bit is read.
+  void shift(const ShiftPlan& plan, std::span<const std::uint8_t> in_bits);
 
   /// Captures \p next_state (flat chain-major, one bit per cell) per
   /// \p mode into every chain.
@@ -185,12 +183,13 @@ class FabricState {
   std::vector<std::size_t> offsets_;
 };
 
-/// True if a flat chain-major difference vector (one bit per cell, 1 =
-/// differs) becomes visible when every chain c shifts out plan[c]
-/// observations under out.chains[c]: a difference on any chain suffices.
-/// The single-chain case degenerates to diff_observable.
-bool fabric_diff_observable(const Fabric& fabric,
-                            std::span<const std::uint8_t> diff,
-                            const ShiftPlan& plan, const FabricOut& out);
+/// The catch rule: true if the ATE reads a difference between \p faulty
+/// and \p good when every chain c shifts out plan[c] observations under
+/// out.chains[c].  Both machines take the same scan-in bits, which cancel,
+/// so only the pre-shift cells matter (observed_bit over faulty ⊕ good):
+/// pass both fabrics as they stand before the shift.  A difference on any
+/// chain suffices.
+bool observes_difference(const FabricState& faulty, const FabricState& good,
+                         const ShiftPlan& plan, const FabricOut& out);
 
 }  // namespace vcomp::scan

@@ -1,29 +1,20 @@
 #pragma once
 
 /// \file observe.hpp
-/// Observability helpers for partial shift-out, plus the paper's "info
-/// ratio" arithmetic.
+/// The paper's "info ratio" arithmetic for partial shift-out.
 ///
 /// A fault whose response differs from the fault-free response is *caught*
 /// in a cycle if the difference is visible in what the ATE reads: the
-/// primary outputs plus the s scan-out observations of that cycle.  With
-/// direct scan-out those observations are the s tail cells; with horizontal
-/// XOR each observation is the XOR of the tapped cells, so a difference can
-/// be visible even when it sits deep inside the chain — and, conversely, an
-/// even number of aligned differences can cancel.
+/// primary outputs plus the s scan-out observations of that cycle
+/// (scan::observes_difference in fabric.hpp decides the scan-out part).
+/// With direct scan-out those observations are the s tail cells; with
+/// horizontal XOR each observation is the XOR of the tapped cells, so a
+/// difference can be visible even when it sits deep inside the chain —
+/// and, conversely, an even number of aligned differences can cancel.
 
-#include <cstdint>
-#include <span>
-
-#include "vcomp/scan/scan_chain.hpp"
+#include <cstddef>
 
 namespace vcomp::scan {
-
-/// True if a response difference vector (one bit per chain position, 1 =
-/// differs) becomes visible within \p s shift-out cycles under \p out.
-/// Newly shifted-in bits carry no difference.
-bool diff_observable(std::span<const std::uint8_t> diff, std::size_t s,
-                     const ScanOutModel& out);
 
 /// The paper's Table-2 "info" points: per-cycle tester data of the stitched
 /// scheme, (PI + s) stimulus and (PO + s) response bits, as a fraction of

@@ -39,6 +39,21 @@ struct ScanOutModel {
   static ScanOutModel hxor(std::size_t length, std::size_t num_taps);
 };
 
+/// Observed bit \p j (shift cycle j, 0-based) under \p out, in closed form
+/// from the pre-shift contents: the tap at t reads cell t−j while j ≤ t,
+/// and scan-in bit j−1−t after that.  \p cell(p) gives pre-shift cell p,
+/// \p in(k) scan-in bit k.  The scan layer's one observation rule:
+/// ChainState::shift passes the scan-in stream, observes_difference none
+/// (two machines fed the same scan-in bits cancel them).
+template <class Cell, class In>
+std::uint8_t observed_bit(const ScanOutModel& out, std::size_t j, Cell cell,
+                          In in) {
+  std::uint8_t o = 0;
+  for (const std::uint32_t t : out.taps)
+    o ^= j <= t ? cell(t - j) : in(j - 1 - t);
+  return o;
+}
+
 /// The bit contents of one scan chain (fault-free machine or one faulty
 /// machine); value semantics so hidden-fault tracking can copy it freely.
 class ChainState {
@@ -55,21 +70,15 @@ class ChainState {
   void load(std::span<const std::uint8_t> bits);
 
   /// Shifts in_bits.size() cycles; in_bits[j] enters at the head on cycle j.
-  /// Returns the observed bits, one per cycle, under \p out.
+  /// Returns the observed bits, one per cycle, under \p out (observed_bit
+  /// over the pre-shift contents), then moves the cells.
   std::vector<std::uint8_t> shift(std::span<const std::uint8_t> in_bits,
                                   const ScanOutModel& out);
 
-  /// Allocation-free variant: writes the observed bits into \p observed
-  /// (cleared first, capacity reused).  The tracker shifts every hidden
-  /// fault's private chain each stitched cycle, so this is a hot path.
-  void shift(std::span<const std::uint8_t> in_bits, const ScanOutModel& out,
-             std::vector<std::uint8_t>& observed);
-
-  /// One shift cycle: returns the observed tap XOR, slides every cell one
-  /// step toward the tail, inserts \p in_bit at the head.  FabricState
-  /// interleaves the chains of a multi-chain fabric through this primitive
-  /// so all shift semantics live in one place.
-  std::uint8_t shift_one(std::uint8_t in_bit, const ScanOutModel& out);
+  /// Moves the cells only: the retained L−s cells slide s toward the tail
+  /// in one move and the s scan-in bits fill the head, the last one
+  /// shifted in at position 0.
+  void shift(std::span<const std::uint8_t> in_bits);
 
   /// Capture \p next_state (one bit per chain position) per \p mode.
   void capture(std::span<const std::uint8_t> next_state, CaptureMode mode);

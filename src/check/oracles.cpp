@@ -363,7 +363,7 @@ struct RefTrackerResult {
 /// Full-shift brute force: every tracked fault keeps a private fabric
 /// image and is re-evaluated from scratch with the naive reference each
 /// cycle.  No DiffSim, no BlockLaneSim, no sharding, no
-/// fabric_diff_observable — and no scan::FabricState: fabric images are
+/// scan::observes_difference — and no scan::FabricState: fabric images are
 /// flat chain-major byte vectors advanced with ref_fabric_shift.
 RefTrackerResult ref_track(const Case& c) {
   const Netlist& nl = c.netlist;
@@ -491,7 +491,7 @@ RefTrackerResult ref_track(const Case& c) {
   }
 
   // Terminal observation: shift both machines and compare what the ATE
-  // actually reads (independent of scan::fabric_diff_observable).  The
+  // actually reads (independent of scan::observes_difference).  The
   // master observation size apportions over the chains exactly as the
   // tracker's scalar terminal_observe does.
   const std::size_t st_obs = c.schedule.terminal_observe;
@@ -695,8 +695,8 @@ std::optional<Failure> check_flush(const Case& c, std::uint64_t flush_seed,
   const scan::ShiftPlan full = fabric.plan_for(L);
   Rng rng(flush_seed);
   std::vector<std::uint8_t> state(L), flush(L), zeros(L, 0);
-  std::vector<std::uint8_t> img, end_s0, end_0f, obs_fab, obs_s0, obs_0f,
-      obs_ref;
+  std::vector<std::uint8_t> img, end_s0, end_0f, other, obs_a, obs_b,
+      ref_chain, ref_in;
   for (std::size_t round = 0; round < rounds; ++round) {
     const std::string tag = "round " + std::to_string(round) + ": ";
     for (auto& b : state) b = rng.bit();
@@ -704,22 +704,17 @@ std::optional<Failure> check_flush(const Case& c, std::uint64_t flush_seed,
 
     // Reference decomposition of a full flush: state alone, stream alone.
     img = state;
-    ref_fabric_shift(fabric, img, full, zeros, out, obs_s0);
+    ref_fabric_shift(fabric, img, full, zeros, out, obs_a);
     end_s0 = img;
     img.assign(L, 0);
-    ref_fabric_shift(fabric, img, full, flush, out, obs_0f);
+    ref_fabric_shift(fabric, img, full, flush, out, obs_a);
     end_0f = img;
 
     // Compiled path on the combined stimulus; superposition must hold bit
-    // for bit on the observed stream and the post-flush contents.
+    // for bit on the post-flush contents.
     scan::FabricState fs(fabric);
     fs.load(state);
-    fs.shift(full, flush, out, obs_fab);
-    for (std::size_t k = 0; k < L; ++k)
-      if (obs_fab[k] != (obs_s0[k] ^ obs_0f[k]))
-        return fail("flush", tag + "full-flush observation violates GF(2) "
-                                   "superposition at stream bit " +
-                                 std::to_string(k));
+    fs.shift(full, flush);
     fs.flat_bits(img);
     for (std::size_t k = 0; k < L; ++k)
       if (img[k] != (end_s0[k] ^ end_0f[k]))
@@ -746,14 +741,9 @@ std::optional<Failure> check_flush(const Case& c, std::uint64_t flush_seed,
                                  flush.begin() + static_cast<std::ptrdiff_t>(s));
     scan::FabricState ps(fabric);
     ps.load(state);
-    ps.shift(plan, in, out, obs_fab);
+    ps.shift(plan, in);
     img = state;
-    ref_fabric_shift(fabric, img, plan, in, out, obs_ref);
-    if (obs_fab != obs_ref)
-      return fail("flush",
-                  tag + "partial-shift observations diverge from the naive "
-                        "reference (master shift " +
-                      std::to_string(s) + ")");
+    ref_fabric_shift(fabric, img, plan, in, out, obs_a);
     ps.flat_bits(end_s0);  // reuse as the compiled post-shift image
     if (end_s0 != img)
       return fail("flush",
@@ -770,6 +760,45 @@ std::optional<Failure> check_flush(const Case& c, std::uint64_t flush_seed,
                                    " corrupted at position " +
                                    std::to_string(p));
     }
+
+    // Every chain's closed-form observations (and contents) under the
+    // same partial plan must equal the per-bit reference shift's.
+    const std::uint8_t* in_c = in.data();
+    for (std::size_t ch = 0; ch < fabric.num_chains(); ++ch) {
+      const std::uint8_t* cells = state.data() + fabric.chain_offset(ch);
+      ref_chain.assign(cells, cells + fabric.chain_length(ch));
+      ref_in.assign(in_c, in_c + plan[ch]);
+      in_c += plan[ch];
+      scan::ChainState cs(ref_chain);
+      const std::vector<std::uint8_t> obs = cs.shift(ref_in, out.chains[ch]);
+      ref_shift(ref_chain, ref_in, out.chains[ch], obs_a);
+      if (obs != obs_a || cs.bits() != ref_chain)
+        return fail("flush", tag + "chain " + std::to_string(ch) +
+                                 " closed-form shift of " +
+                                 std::to_string(plan[ch]) +
+                                 " bits diverges from the naive reference");
+    }
+
+    // The catch rule: a fabric differing from `state` in a few cells, so
+    // differences sit at every depth inside and past the observation
+    // window, must be caught exactly when the reference streams differ
+    // with both machines taking one shared scan-in stream.
+    other = state;
+    for (std::size_t k = 1 + rng.below(3); k-- > 0;) other[rng.below(L)] ^= 1;
+    scan::FabricState fa(fabric), fb(fabric);
+    fa.load(other);
+    fb.load(state);
+    const auto catch_agrees = [&](const scan::ShiftPlan& p,
+                                  const std::vector<std::uint8_t>& stream) {
+      img = other;
+      ref_fabric_shift(fabric, img, p, stream, out, obs_a);
+      img = state;
+      ref_fabric_shift(fabric, img, p, stream, out, obs_b);
+      return scan::observes_difference(fa, fb, p, out) == (obs_a != obs_b);
+    };
+    if (!catch_agrees(plan, in) || !catch_agrees(full, flush))
+      return fail("flush", tag + "observes_difference disagrees with the "
+                                 "reference streams");
   }
   return std::nullopt;
 }

@@ -1,5 +1,6 @@
 #include "vcomp/core/experiment.hpp"
 
+#include "vcomp/scan/observe.hpp"
 #include "vcomp/util/assert.hpp"
 #include "vcomp/util/parallel.hpp"
 

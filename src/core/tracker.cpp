@@ -11,7 +11,6 @@
 namespace vcomp::core {
 
 using atpg::TestVector;
-using scan::ChainState;
 using sim::Block;
 using sim::Word;
 
@@ -180,7 +179,9 @@ CycleStats StitchTracker::apply(const TestVector& v,
   } else {
     // Shift phase: the ATE compares the scan-out observations of every
     // chain against the fault-free values; a hidden fault emitting any
-    // different value on any chain is caught right here.  The snapshot
+    // different value on any chain is caught right here.  Both machines
+    // take the same scan-in bits, so the catch reads the difference of
+    // the pre-shift fabrics, and only the survivors shift.  The snapshot
     // also feeds the advance phase below (shift-caught faults are skipped
     // there).
     const auto t0 = Clock::now();
@@ -192,15 +193,17 @@ CycleStats StitchTracker::apply(const TestVector& v,
         in_bits_[off + j] = v.ppi[fabric_.dff_at(c, plan[c] - 1 - j)];
       off += plan[c];
     }
-    state_.shift(plan, in_bits_, out_model_, obs_ff_);
     sets_.hidden_list(hidden_before_);
     for (std::size_t i : hidden_before_) {
-      sets_.mutable_hidden_state(i).shift(plan, in_bits_, out_model_, obs_f_);
-      if (obs_f_ != obs_ff_) {
+      if (scan::observes_difference(sets_.hidden_state(i), state_, plan,
+                                    out_model_)) {
         sets_.set_caught(i, cycle_ + 1);
         ++st.caught_at_shift;
+      } else {
+        sets_.mutable_hidden_state(i).shift(plan, in_bits_);
       }
     }
+    state_.shift(plan, in_bits_);
     const double dt0 = secs_since(t0);
     profile_.shift_seconds += dt0;
     tracker_metrics().shift_seconds.add_seconds(dt0);
@@ -364,32 +367,14 @@ CycleStats StitchTracker::apply(const TestVector& v,
   return st;
 }
 
-namespace {
-
-/// Flat chain-major difference between a hidden fault's fabric and the
-/// fault-free fabric, written into \p diff (resized to the total length).
-void fabric_diff(const scan::Fabric& fabric, const scan::FabricState& a,
-                 const scan::FabricState& b, std::vector<std::uint8_t>& diff) {
-  diff.resize(fabric.total_length());
-  for (std::size_t c = 0; c < fabric.num_chains(); ++c) {
-    const auto& ab = a.chain(c).bits();
-    const auto& bb = b.chain(c).bits();
-    const std::size_t base = fabric.chain_offset(c);
-    for (std::size_t p = 0; p < ab.size(); ++p)
-      diff[base + p] = static_cast<std::uint8_t>(ab[p] ^ bb[p]);
-  }
-}
-
-}  // namespace
-
 bool StitchTracker::partial_observe_suffices(
     const scan::ShiftPlan& plan) const {
   const auto t0 = Clock::now();
   bool ok = true;
   sets_.hidden_list(observe_list_);
   for (std::size_t i : observe_list_) {
-    fabric_diff(fabric_, sets_.hidden_state(i), state_, diff_);
-    if (!scan::fabric_diff_observable(fabric_, diff_, plan, out_model_)) {
+    if (!scan::observes_difference(sets_.hidden_state(i), state_, plan,
+                                   out_model_)) {
       ok = false;
       break;
     }
@@ -413,8 +398,8 @@ std::size_t StitchTracker::terminal_observe(const scan::ShiftPlan& plan) {
   std::size_t caught = 0;
   sets_.hidden_list(observe_list_);
   for (std::size_t i : observe_list_) {
-    fabric_diff(fabric_, sets_.hidden_state(i), state_, diff_);
-    if (scan::fabric_diff_observable(fabric_, diff_, plan, out_model_)) {
+    if (scan::observes_difference(sets_.hidden_state(i), state_, plan,
+                                  out_model_)) {
       sets_.set_caught(i, cycle_ + 1);
       ++caught;
     }

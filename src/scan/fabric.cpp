@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <numeric>
 
-#include "vcomp/scan/observe.hpp"
 #include "vcomp/util/assert.hpp"
 #include "vcomp/util/rng.hpp"
 
@@ -216,13 +215,6 @@ FabricState::FabricState(std::vector<ChainState> chains)
   }
 }
 
-std::uint8_t FabricState::at_flat(std::size_t flat_pos) const {
-  // The chains are few; a linear scan beats a binary search at real sizes.
-  std::size_t c = 0;
-  while (flat_pos >= offsets_[c + 1]) ++c;
-  return chains_[c].at(flat_pos - offsets_[c]);
-}
-
 void FabricState::load(std::span<const std::uint8_t> bits) {
   VCOMP_REQUIRE(bits.size() == total_length(), "load size mismatch");
   for (std::size_t c = 0; c < chains_.size(); ++c) {
@@ -239,24 +231,18 @@ void FabricState::flat_bits(std::vector<std::uint8_t>& out) const {
 }
 
 void FabricState::shift(const ShiftPlan& plan,
-                        std::span<const std::uint8_t> in_bits,
-                        const FabricOut& out,
-                        std::vector<std::uint8_t>& observed) {
+                        std::span<const std::uint8_t> in_bits) {
   VCOMP_REQUIRE(plan.size() == chains_.size(), "plan size mismatch");
-  VCOMP_REQUIRE(out.chains.size() == chains_.size(),
-                "scan-out model size mismatch");
-  observed.clear();
-  observed.reserve(in_bits.size());
-  std::size_t off = 0;
-  for (std::size_t c = 0; c < chains_.size(); ++c) {
+  for (std::size_t c = 0; c < chains_.size(); ++c)
     VCOMP_REQUIRE(plan[c] <= chains_[c].length(),
                   "cannot shift more bits than the chain holds");
-    for (std::size_t j = 0; j < plan[c]; ++j) {
-      observed.push_back(chains_[c].shift_one(in_bits[off + j], out.chains[c]));
-    }
+  VCOMP_REQUIRE(Fabric::plan_total(plan) == in_bits.size(),
+                "scan-in stream size mismatch");
+  std::size_t off = 0;
+  for (std::size_t c = 0; c < chains_.size(); ++c) {
+    chains_[c].shift(in_bits.subspan(off, plan[c]));
     off += plan[c];
   }
-  VCOMP_REQUIRE(off == in_bits.size(), "scan-in stream size mismatch");
 }
 
 void FabricState::capture(std::span<const std::uint8_t> next_state,
@@ -268,19 +254,23 @@ void FabricState::capture(std::span<const std::uint8_t> next_state,
   }
 }
 
-bool fabric_diff_observable(const Fabric& fabric,
-                            std::span<const std::uint8_t> diff,
-                            const ShiftPlan& plan, const FabricOut& out) {
-  VCOMP_REQUIRE(diff.size() == fabric.total_length(), "diff size mismatch");
-  VCOMP_REQUIRE(plan.size() == fabric.num_chains(), "plan size mismatch");
-  VCOMP_REQUIRE(out.chains.size() == fabric.num_chains(),
-                "scan-out model size mismatch");
-  for (std::size_t c = 0; c < fabric.num_chains(); ++c) {
-    if (diff_observable(
-            diff.subspan(fabric.chain_offset(c), fabric.chain_length(c)),
-            plan[c], out.chains[c])) {
-      return true;
-    }
+bool observes_difference(const FabricState& faulty, const FabricState& good,
+                         const ShiftPlan& plan, const FabricOut& out) {
+  VCOMP_REQUIRE(faulty.num_chains() == good.num_chains() &&
+                    plan.size() == good.num_chains() &&
+                    out.chains.size() == good.num_chains(),
+                "fabrics, plan and scan-out model must cover the same chains");
+  const auto no_scan_in = [](std::size_t) -> std::uint8_t { return 0; };
+  for (std::size_t c = 0; c < plan.size(); ++c) {
+    const auto& a = faulty.chain(c).bits();
+    const auto& b = good.chain(c).bits();
+    VCOMP_REQUIRE(a.size() == b.size() && plan[c] <= b.size(),
+                  "observation window exceeds chain length");
+    const auto diff = [&](std::size_t p) -> std::uint8_t {
+      return a[p] ^ b[p];
+    };
+    for (std::size_t j = 0; j < plan[c]; ++j)
+      if (observed_bit(out.chains[c], j, diff, no_scan_in)) return true;
   }
   return false;
 }

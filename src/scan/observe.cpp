@@ -1,29 +1,11 @@
 #include "vcomp/scan/observe.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "vcomp/util/assert.hpp"
 
 namespace vcomp::scan {
-
-bool diff_observable(std::span<const std::uint8_t> diff, std::size_t s,
-                     const ScanOutModel& out) {
-  VCOMP_REQUIRE(s <= diff.size(), "observation window exceeds chain length");
-  // Fast path for direct observation: any difference in the s tail cells.
-  if (out.taps.size() == 1 && out.taps[0] == diff.size() - 1) {
-    for (std::size_t i = diff.size() - s; i < diff.size(); ++i)
-      if (diff[i]) return true;
-    return false;
-  }
-  // General case: run the difference vector through the shift register.
-  ChainState state{std::vector<std::uint8_t>(diff.begin(), diff.end())};
-  const std::vector<std::uint8_t> zeros(s, 0);
-  const auto observed = state.shift(zeros, out);
-  for (std::uint8_t b : observed)
-    if (b) return true;
-  return false;
-}
 
 std::size_t shift_for_info_ratio(std::size_t num_pi, std::size_t num_po,
                                  std::size_t chain_len, double ratio) {

@@ -34,31 +34,26 @@ void ChainState::load(std::span<const std::uint8_t> bits) {
 
 std::vector<std::uint8_t> ChainState::shift(
     std::span<const std::uint8_t> in_bits, const ScanOutModel& out) {
-  std::vector<std::uint8_t> observed;
-  shift(in_bits, out, observed);
+  VCOMP_REQUIRE(in_bits.size() <= bits_.size(),
+                "cannot shift more bits than the chain holds");
+  const auto cell = [this](std::size_t p) { return bits_[p]; };
+  const auto in = [in_bits](std::size_t k) -> std::uint8_t {
+    return in_bits[k] & 1;
+  };
+  std::vector<std::uint8_t> observed(in_bits.size());
+  for (std::size_t j = 0; j < observed.size(); ++j)
+    observed[j] = observed_bit(out, j, cell, in);
+  shift(in_bits);
   return observed;
 }
 
-void ChainState::shift(std::span<const std::uint8_t> in_bits,
-                       const ScanOutModel& out,
-                       std::vector<std::uint8_t>& observed) {
+void ChainState::shift(std::span<const std::uint8_t> in_bits) {
   VCOMP_REQUIRE(in_bits.size() <= bits_.size(),
                 "cannot shift more bits than the chain holds");
-  observed.clear();
-  observed.reserve(in_bits.size());
-  for (std::size_t j = 0; j < in_bits.size(); ++j) {
-    observed.push_back(shift_one(in_bits[j], out));
-  }
-}
-
-std::uint8_t ChainState::shift_one(std::uint8_t in_bit,
-                                   const ScanOutModel& out) {
-  std::uint8_t obs = 0;
-  for (std::uint32_t t : out.taps) obs ^= bits_[t];
-  // One shift cycle: everything moves one step toward the tail.
-  for (std::size_t i = bits_.size(); i-- > 1;) bits_[i] = bits_[i - 1];
-  bits_[0] = in_bit & 1;
-  return obs;
+  const auto s = static_cast<std::ptrdiff_t>(in_bits.size());
+  std::copy_backward(bits_.begin(), bits_.end() - s, bits_.end());
+  std::transform(in_bits.rbegin(), in_bits.rend(), bits_.begin(),
+                 [](std::uint8_t b) -> std::uint8_t { return b & 1; });
 }
 
 void ChainState::capture(std::span<const std::uint8_t> next_state,

@@ -193,8 +193,18 @@ TEST(FabricOut, DirectAndHxorPerChain) {
   }
 }
 
+/// \p bits with 1..3 random cells flipped: a second machine whose
+/// difference sits at random depths, sometimes inside an observation
+/// window and sometimes past it.
+Bits with_flips(Rng& rng, Bits bits) {
+  for (std::size_t k = 1 + rng.below(3); k-- > 0;)
+    bits[rng.below(bits.size())] ^= 1;
+  return bits;
+}
+
 // N=1 degeneracy: every FabricState operation must be bit-identical to the
-// single ChainState it wraps.
+// single ChainState it wraps, and the fabric catch rule must see exactly
+// the observation difference the chain emits.
 TEST(FabricState, SingleChainMatchesChainState) {
   auto nl = netgen::generate("s444");
   Fabric f(nl);
@@ -206,15 +216,18 @@ TEST(FabricState, SingleChainMatchesChainState) {
     const Bits init = random_bits(rng, L);
     fs.load(init);
     cs.load(init);
+    const Bits init_other = with_flips(rng, init);
+    FabricState fs_other(f);
+    ChainState cs_other(init_other);
+    fs_other.load(init_other);
 
     const std::size_t s = 1 + rng.below(L);
     const Bits in = random_bits(rng, s);
     const auto out = FabricOut::hxor(f, 3);
     const auto single = ScanOutModel::hxor(L, 3);
-    Bits obs_f, obs_c;
-    fs.shift(f.plan_for(s), in, out, obs_f);
-    cs.shift(in, single, obs_c);
-    EXPECT_EQ(obs_f, obs_c);
+    const bool caught = observes_difference(fs_other, fs, f.plan_for(s), out);
+    fs.shift(f.plan_for(s), in);
+    EXPECT_EQ(caught, cs_other.shift(in, single) != cs.shift(in, single));
     EXPECT_EQ(fs.chain(0), cs);
 
     const Bits next = random_bits(rng, L);
@@ -225,49 +238,53 @@ TEST(FabricState, SingleChainMatchesChainState) {
     Bits flat;
     fs.flat_bits(flat);
     EXPECT_EQ(flat, cs.bits());
-    for (std::size_t p = 0; p < L; ++p) {
-      EXPECT_EQ(fs.at_flat(p), cs.at(p));
-    }
   }
 }
 
 // Chains are independent machines: shifting/capturing the fabric must act
-// on each chain exactly as the equivalent standalone ChainState.
+// on each chain exactly as the equivalent standalone ChainState, and a
+// fabric difference is caught exactly when some chain's standalone
+// observations differ.
 TEST(FabricState, ChainsShiftIndependently) {
   auto nl = netgen::generate("s526");
   Rng rng(23);
   for (auto policy : {PartitionPolicy::RoundRobin, PartitionPolicy::SeededRandom}) {
     Fabric f(nl, 4, policy, 17);
-    FabricState fs(f);
     const Bits init = random_bits(rng, f.total_length());
+    const Bits init_other = with_flips(rng, init);
+    FabricState fs(f), fs_other(f);
     fs.load(init);
+    fs_other.load(init_other);
 
-    std::vector<ChainState> solo;
+    std::vector<ChainState> solo, solo_other;
     for (std::size_t c = 0; c < 4; ++c) {
-      solo.emplace_back(f.chain_length(c));
-      solo[c].load(std::span<const std::uint8_t>(init).subspan(
-          f.chain_offset(c), f.chain_length(c)));
+      const auto slice = [&](const Bits& b) {
+        return Bits(b.begin() + static_cast<std::ptrdiff_t>(f.chain_offset(c)),
+                    b.begin() + static_cast<std::ptrdiff_t>(
+                                    f.chain_offset(c) + f.chain_length(c)));
+      };
+      solo.emplace_back(slice(init));
+      solo_other.emplace_back(slice(init_other));
     }
 
     const std::size_t s = 1 + rng.below(f.total_length());
     const ShiftPlan plan = f.plan_for(s);
     const Bits in = random_bits(rng, s);
     const auto out = FabricOut::hxor(f, 2);
-    Bits obs;
-    fs.shift(plan, in, out, obs);
+    const bool caught = observes_difference(fs_other, fs, plan, out);
+    fs.shift(plan, in);
 
     std::size_t off = 0;
-    Bits expect_obs;
+    bool any_chain_differs = false;
     for (std::size_t c = 0; c < 4; ++c) {
       Bits chain_in(in.begin() + static_cast<std::ptrdiff_t>(off),
                     in.begin() + static_cast<std::ptrdiff_t>(off + plan[c]));
-      Bits chain_obs;
-      solo[c].shift(chain_in, out.chains[c], chain_obs);
-      expect_obs.insert(expect_obs.end(), chain_obs.begin(), chain_obs.end());
+      any_chain_differs |= solo[c].shift(chain_in, out.chains[c]) !=
+                           solo_other[c].shift(chain_in, out.chains[c]);
       EXPECT_EQ(fs.chain(c), solo[c]) << "chain " << c;
       off += plan[c];
     }
-    EXPECT_EQ(obs, expect_obs);
+    EXPECT_EQ(caught, any_chain_differs);
   }
 }
 
@@ -278,8 +295,7 @@ TEST(FabricState, ValueSemanticsAndEquality) {
   a.load(Bits{1, 0, 1});
   FabricState b = a;
   EXPECT_EQ(a, b);
-  Bits obs;
-  b.shift(f.plan_for(1), Bits{0}, FabricOut::direct(f), obs);
+  b.shift(f.plan_for(1), Bits{0});
   EXPECT_NE(a, b);
 }
 
@@ -287,17 +303,33 @@ TEST(FabricState, ShiftValidatesSizes) {
   auto nl = netgen::example_circuit();  // 3 flip-flops
   Fabric f(nl, 2, PartitionPolicy::RoundRobin);  // lengths 2, 1
   FabricState fs(f);
-  Bits obs;
-  const auto out = FabricOut::direct(f);
+  fs.load(Bits{1, 0, 1});
+  const FabricState before = fs;
   // Plan exceeding a chain's length.
-  EXPECT_THROW(fs.shift(ShiftPlan{2, 2}, Bits{0, 0, 0, 0}, out, obs),
+  EXPECT_THROW(fs.shift(ShiftPlan{2, 2}, Bits{0, 0, 0, 0}),
                vcomp::ContractError);
-  // Stream size not matching the plan total.
-  EXPECT_THROW(fs.shift(f.plan_for(2), Bits{0}, out, obs),
-               vcomp::ContractError);
+  // Stream size not matching the plan total (a short stream must be
+  // rejected before any bit of it is read).
+  EXPECT_THROW(fs.shift(f.plan_for(2), Bits{0}), vcomp::ContractError);
   // Wrong plan arity.
-  EXPECT_THROW(fs.shift(ShiftPlan{1}, Bits{0}, out, obs),
+  EXPECT_THROW(fs.shift(ShiftPlan{1}, Bits{0}), vcomp::ContractError);
+  // Every check runs before any chain moves.
+  EXPECT_EQ(fs, before);
+}
+
+TEST(FabricState, CatchRuleValidatesSizes) {
+  auto nl = netgen::example_circuit();
+  Fabric f(nl, 2, PartitionPolicy::RoundRobin);  // lengths 2, 1
+  const FabricState a(f);
+  const auto out = FabricOut::direct(f);
+  EXPECT_THROW(observes_difference(a, a, ShiftPlan{1}, out),
                vcomp::ContractError);
+  EXPECT_THROW(observes_difference(a, a, ShiftPlan{1, 2}, out),
+               vcomp::ContractError);
+  const FabricState one_chain(Fabric{nl});
+  EXPECT_THROW(observes_difference(one_chain, a, ShiftPlan{1, 1}, out),
+               vcomp::ContractError);
+  EXPECT_FALSE(observes_difference(a, a, ShiftPlan{2, 1}, out));
 }
 
 }  // namespace

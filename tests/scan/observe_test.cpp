@@ -2,12 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include "vcomp/scan/fabric.hpp"
 #include "vcomp/util/assert.hpp"
 
 namespace vcomp::scan {
 namespace {
 
 using Bits = std::vector<std::uint8_t>;
+
+/// The catch rule on one chain: a machine holding \p diff against an
+/// all-zero one, observed for \p s shift cycles under \p out.
+bool diff_observable(const Bits& diff, std::size_t s, const ScanOutModel& out) {
+  return observes_difference(FabricState({ChainState(diff)}),
+                             FabricState({ChainState(diff.size())}),
+                             ShiftPlan{s}, FabricOut{{out}});
+}
 
 TEST(DiffObservable, DirectTailWindow) {
   const auto m = ScanOutModel::direct(5);

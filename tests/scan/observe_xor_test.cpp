@@ -5,7 +5,7 @@
 // differ exactly at those positions produce different observation streams
 // when shifted with identical input bits.
 
-#include "vcomp/scan/observe.hpp"
+#include "vcomp/scan/fabric.hpp"
 
 #include <gtest/gtest.h>
 
@@ -20,13 +20,39 @@ namespace {
 
 using Bits = std::vector<std::uint8_t>;
 
-/// The definition of observability, computed the slow way.
+/// The catch rule on one chain: a machine holding \p diff against an
+/// all-zero one, observed for \p s shift cycles under \p out.
+bool diff_observable(const Bits& diff, std::size_t s, const ScanOutModel& out) {
+  return observes_difference(FabricState({ChainState(diff)}),
+                             FabricState({ChainState(diff.size())}),
+                             ShiftPlan{s}, FabricOut{{out}});
+}
+
+/// One shift cycle of a bare chain, bit by bit: returns the XOR of the
+/// cells under the taps, then slides every cell one step toward the tail
+/// and loads \p in at the head.  Shares nothing with ChainState, whose
+/// closed form this checks.
+std::uint8_t step(Bits& chain, std::uint8_t in, const ScanOutModel& out) {
+  std::uint8_t o = 0;
+  for (std::uint32_t t : out.taps) o ^= chain[t];
+  for (std::size_t p = chain.size(); p-- > 1;) chain[p] = chain[p - 1];
+  chain[0] = in;
+  return o;
+}
+
+/// The definition of observability, computed the slow way: two chains
+/// that differ exactly at \p diff take the same scan-in bits for \p s
+/// cycles, and some cycle's observations differ.
 bool brute_force_observable(const Bits& diff, std::size_t s,
                             const ScanOutModel& out) {
-  ChainState good(Bits(diff.size(), 0));
-  ChainState bad(diff);
-  const Bits in(s, 0);  // shifted-in bits carry no difference
-  return good.shift(in, out) != bad.shift(in, out);
+  Bits good(diff.size(), 0);
+  Bits bad = diff;
+  Rng rng(diff.size() * 131 + s);
+  for (std::size_t j = 0; j < s; ++j) {
+    const std::uint8_t in = rng.bit();
+    if (step(good, in, out) != step(bad, in, out)) return true;
+  }
+  return false;
 }
 
 TEST(ObserveXor, DiffObservableMatchesBruteForceExhaustively) {
@@ -68,8 +94,8 @@ TEST(ObserveXor, DiffObservableMatchesBruteForceRandomized) {
 }
 
 TEST(ObserveXor, HxorObservationIsTapParityEachCycle) {
-  // Both shift() overloads must report, per cycle, the XOR of the cells
-  // currently under the taps.
+  // Each observed bit must be the XOR of the cells under the taps at that
+  // cycle, and both shift() overloads must move the cells alike.
   const std::size_t L = 6;
   const auto m = ScanOutModel::hxor(L, 3);  // taps {1, 3, 5}
   ChainState st(Bits{1, 0, 1, 1, 0, 0});
@@ -77,11 +103,19 @@ TEST(ObserveXor, HxorObservationIsTapParityEachCycle) {
   // (head in 0): {0,1,0,1,1,0} -> parity 1 ^ 1 ^ 0 = 0.
   ChainState copy = st;
   const Bits in{0, 0};
-  EXPECT_EQ(st.shift(in, m), (Bits{1, 0}));
-  Bits observed;
-  copy.shift(in, m, observed);
+  const Bits observed = st.shift(in, m);
   EXPECT_EQ(observed, (Bits{1, 0}));
+  // Per cycle, read the tap parity off the contents a one-bit slide
+  // leaves, then take that slide.
+  ChainState per_cycle(Bits{1, 0, 1, 1, 0, 0});
+  for (std::size_t j = 0; j < in.size(); ++j) {
+    const auto& c = per_cycle.bits();
+    EXPECT_EQ(observed[j], c[1] ^ c[3] ^ c[5]) << "cycle " << j;
+    per_cycle.shift(Bits{in[j]});
+  }
+  copy.shift(in);
   EXPECT_EQ(st, copy);
+  EXPECT_EQ(st, per_cycle);
 }
 
 TEST(ObserveXor, HxorMidChainDiffSlidesUnderATap) {

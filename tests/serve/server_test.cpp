@@ -1,12 +1,14 @@
 #include "vcomp/serve/server.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "vcomp/netgen/example_circuit.hpp"
 #include "vcomp/netlist/bench_io.hpp"
@@ -18,14 +20,22 @@ namespace {
 
 /// Writes the paper's example circuit to a temp .bench file once; jobs
 /// reference it by path so tests stay fast (no netgen baseline ATPG).
+/// ctest runs every test in its own process, so the name carries the pid:
+/// a shared name would let one process truncate the file while another
+/// reads it.  Rows are compared within one process only.  The file is
+/// removed when the process exits.
 std::string example_bench_path() {
-  static const std::string path = [] {
-    const std::string p = testing::TempDir() + "serve_example.bench";
-    std::ofstream out(p);
-    out << netlist::write_bench_string(netgen::example_circuit());
-    return p;
-  }();
-  return path;
+  struct TempBench {
+    std::string path = testing::TempDir() + "serve_example." +
+                       std::to_string(::getpid()) + ".bench";
+    TempBench() {
+      std::ofstream(path) << netlist::write_bench_string(
+          netgen::example_circuit());
+    }
+    ~TempBench() { std::remove(path.c_str()); }
+  };
+  static const TempBench file;
+  return file.path;
 }
 
 std::vector<std::string> submit_lines() {
