@@ -23,7 +23,6 @@
 #include <map>
 
 #include "bench_util.hpp"
-#include "vcomp/scan/fabric.hpp"
 
 using namespace vcomp;
 using benchutil::PaperRef;
@@ -56,7 +55,7 @@ int main() {
   auto profiles = netgen::table234_profiles();
   profiles = benchutil::select_circuits(std::move(profiles), 4);
   const auto chain_list = benchutil::chain_counts();
-  const scan::PartitionPolicy partition = scan::partition_from_env();
+  const scan::PartitionPolicy partition = benchutil::partition_from_env();
 
   report::Table table({"circ", "aTV", "info", "shift", "TV", "ex", "m", "t",
                        "paper m", "paper t"});

@@ -15,6 +15,8 @@
 #include "vcomp/core/experiment.hpp"
 #include "vcomp/obs/metrics.hpp"
 #include "vcomp/report/table.hpp"
+#include "vcomp/scan/fabric.hpp"
+#include "vcomp/util/assert.hpp"
 #include "vcomp/util/parallel.hpp"
 
 namespace vcomp::benchutil {
@@ -86,6 +88,20 @@ inline std::vector<std::size_t> chain_counts() {
   }
   if (out.empty()) out.push_back(1);
   return out;
+}
+
+/// VCOMP_PARTITION=<policy> picks the DFF → chain partition of a sweep
+/// (unset or empty → round-robin; unknown names throw).  Only the benches
+/// read it: jobs (CLI and daemon) take the `partition` key, so a job's
+/// row never depends on the caller's environment.
+inline scan::PartitionPolicy partition_from_env() {
+  const char* e = std::getenv("VCOMP_PARTITION");
+  if (e == nullptr || *e == '\0') return scan::PartitionPolicy::RoundRobin;
+  scan::PartitionPolicy p = scan::PartitionPolicy::RoundRobin;
+  VCOMP_REQUIRE(scan::partition_from_string(e, p),
+                std::string("VCOMP_PARTITION names no partition policy: ") +
+                    e);
+  return p;
 }
 
 /// One paper reference pair (m, t); negative = not reported.

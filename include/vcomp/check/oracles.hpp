@@ -13,9 +13,10 @@
 ///    id remap, DiffSim::simulate vs simulate_mapped, BlockLaneSim with
 ///    plain vs mapped faults) and through every available SIMD dispatch
 ///    width (a fault-free BlockLaneSim, scalar vs AVX2 vs AVX-512); on top,
-///    the full stitched tracker is driven twice — VCOMP_COMPACT on and
-///    off — and the two digests (CycleStats, fault states, work counters)
-///    must be byte-identical;
+///    the full stitched tracker is driven twice — on the compacted model
+///    and on the identity model (CompactModel with enable = false) — and
+///    the two digests (CycleStats, fault states, work counters) must be
+///    byte-identical;
 ///  * the flush oracle — scan fabrics are linear networks over GF(2), so
 ///    the post-flush contents of (state, flush) must equal those of
 ///    (state, 0) xor (0, flush); partially-shifted fabrics must slide —

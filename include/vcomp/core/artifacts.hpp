@@ -6,8 +6,8 @@
 /// Compiling the evaluation graph, computing SCOAP testability scores and
 /// building the fault-aware compacted simulation model are the expensive
 /// setup steps of every stitching run — and all three depend only on the
-/// netlist, the collapsed fault universe and the VCOMP_COMPACT switch,
-/// never on per-run options or mutable run state.  CircuitArtifacts
+/// netlist and the collapsed fault universe, never on per-run options,
+/// mutable run state or the environment.  CircuitArtifacts
 /// bundles one shared copy of each behind const accessors, so any number
 /// of concurrent StitchEngine runs (and, above them, serve jobs hitting
 /// the content-addressed artifact registry) can alias them safely.
@@ -26,7 +26,7 @@ struct CircuitArtifacts {
   sim::EvalGraph::Ref graph;
   /// SCOAP controllability/observability scores over `graph`.
   std::shared_ptr<const tmeas::Scoap> scoap;
-  /// Fault-aware compacted simulation model (identity when VCOMP_COMPACT=0).
+  /// Fault-aware compacted simulation model.
   std::shared_ptr<const fault::CompactModel> compact;
 
   /// Builds the full set for \p nl: graph, then scoap and the compact

@@ -65,8 +65,7 @@ struct StitchOptions {
   /// Scan fabric shape: chains shift in parallel; 1 is the degenerate
   /// single-chain fabric (byte-identical to the former single-chain flow).
   std::size_t num_chains = 1;
-  /// DFF → chain partition policy (see scan::partition_from_env for the
-  /// VCOMP_PARTITION override the table benches use).
+  /// DFF → chain partition policy.
   scan::PartitionPolicy partition = scan::PartitionPolicy::RoundRobin;
   /// Seed for PartitionPolicy::SeededRandom.
   std::uint64_t partition_seed = 0;
@@ -146,48 +145,6 @@ struct StitchedSchedule {
   std::string kind;
 };
 
-/// Per-phase wall-clock breakdown of one stitched run (monotonic clock).
-/// Measurement only — timings never feed back into the computed schedule,
-/// so results stay byte-identical for every thread count.  Surfaced by
-/// `vcomp_stitch --profile` and the bench_tracker throughput bench.
-struct PhaseProfile {
-  double podem_seconds = 0;     ///< constrained PODEM cube search
-  double scoring_seconds = 0;   ///< MostFaults completion scoring
-  double shift_seconds = 0;     ///< tracker scan-shift + hidden compare
-  double classify_seconds = 0;  ///< tracker uncaught-fault classification
-  double advance_seconds = 0;   ///< tracker 512-lane hidden advance
-  double terminal_seconds = 0;  ///< terminal observes + ex-phase dropping
-  double total_seconds = 0;     ///< whole StitchEngine::run call
-  std::size_t faults_classified = 0;  ///< DiffSim classification queries
-  std::size_t hidden_advanced = 0;    ///< BlockLaneSim lanes evaluated
-  std::size_t podem_calls = 0;        ///< constrained generate() attempts
-  std::size_t podem_backtracks = 0;   ///< backtracks across those calls
-  std::size_t cubes_found = 0;        ///< successful cubes collected
-  std::size_t candidates_scored = 0;  ///< MostFaults completions scored
-  std::size_t aborted = 0;            ///< generate() calls ending Aborted
-  std::size_t aborted_faults = 0;     ///< distinct faults ever Aborted
-  std::size_t sat_calls = 0;          ///< SAT solver invocations
-  std::size_t sat_conflicts = 0;      ///< CDCL conflicts across those calls
-
-  /// Deterministic view for comparisons and bench JSON: the work counters
-  /// without the wall-clock fields (which vary run to run and machine to
-  /// machine).  Byte-identical across VCOMP_THREADS values.
-  obs::CounterSet counters_only() const {
-    obs::CounterSet cs;
-    cs.values.emplace_back("atpg.aborted_faults", aborted_faults);
-    cs.values.emplace_back("atpg.sat_calls", sat_calls);
-    cs.values.emplace_back("atpg.sat_conflicts", sat_conflicts);
-    cs.values.emplace_back("stitch.aborted", aborted);
-    cs.values.emplace_back("stitch.candidates_scored", candidates_scored);
-    cs.values.emplace_back("stitch.cubes_found", cubes_found);
-    cs.values.emplace_back("stitch.podem_backtracks", podem_backtracks);
-    cs.values.emplace_back("stitch.podem_calls", podem_calls);
-    cs.values.emplace_back("tracker.faults_classified", faults_classified);
-    cs.values.emplace_back("tracker.hidden_advanced", hidden_advanced);
-    return cs;
-  }
-};
-
 struct StitchResult {
   std::size_t vectors_applied = 0;      ///< TV
   std::size_t extra_full_vectors = 0;   ///< ex
@@ -245,10 +202,14 @@ class StitchEngine {
   std::unique_ptr<ShiftPolicy> make_policy() const;
   atpg::PpiConstraints constraints_for(const scan::FabricState& state,
                                        const scan::ShiftPlan& plan) const;
+  /// Writes the phases it times (PODEM, scoring) and their work
+  /// counters into \p prof.
   std::optional<Candidate> generate(const FaultSets& sets,
                                     const scan::FabricState& state,
                                     const scan::ShiftPlan& plan,
-                                    bool first_vector);
+                                    bool first_vector, PhaseProfile& prof);
+  /// The body of run(), under its stitch.run span.
+  void run_into(StitchResult& res);
   void load_scoring_sim(fault::DiffSim& sim, const atpg::TestVector& v);
 
   const netlist::Netlist* nl_;
@@ -273,18 +234,6 @@ class StitchEngine {
   std::vector<std::size_t> scored_;               // sampled uncaught faults
   std::vector<std::vector<std::uint32_t>> shard_scores_;
   std::vector<std::uint8_t> drop_hit_;            // ex-phase verdict buffer
-
-  // Accumulated engine-side phase timings (the tracker holds its own).
-  double podem_seconds_ = 0;
-  double scoring_seconds_ = 0;
-  // Engine-side work counters feeding PhaseProfile::counters_only().
-  std::size_t podem_calls_ = 0;
-  std::size_t podem_backtracks_ = 0;
-  std::size_t cubes_found_ = 0;
-  std::size_t candidates_scored_ = 0;
-  std::size_t aborted_ = 0;
-  std::size_t sat_calls_ = 0;
-  std::size_t sat_conflicts_ = 0;
 
   std::vector<std::size_t> order_;       // target walk order
   std::vector<std::uint8_t> targetable_; // baseline-detected faults

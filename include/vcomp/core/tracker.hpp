@@ -62,21 +62,49 @@ struct CycleStats {
   friend bool operator==(const CycleStats&, const CycleStats&) = default;
 };
 
-/// Cumulative wall-clock per tracker phase (monotonic clock), plus the
-/// work counters the throughput benches divide by.  Timings are
-/// measurement only — they never feed back into the computation.
-struct TrackerProfile {
-  double shift_seconds = 0;     ///< scan-shift + hidden-chain compare
-  double classify_seconds = 0;  ///< sharded uncaught-fault classification
-  double advance_seconds = 0;   ///< block-lane hidden-fault advance
-  double terminal_seconds = 0;  ///< terminal/partial observation scans
+/// Per-phase wall-clock breakdown of one stitched run (monotonic clock),
+/// plus the work counters the throughput benches divide by.  The
+/// StitchTracker fills the shift, classify, advance and terminal fields
+/// and the two tracker counters; StitchEngine adds the ATPG and scoring
+/// fields, the ex-phase drop and total_seconds to the same record.  Each
+/// seconds field is the sum of the obs::Span durations of its phase
+/// (terminal_seconds: tracker.terminal_observe, tracker.partial_observe
+/// and stitch.drop), so `--profile` and `--trace` read the same clock.
+/// Measurement only — timings never feed back into the computed
+/// schedule, so results stay byte-identical for every thread count.
+/// Surfaced by `vcomp_stitch --profile` and the bench JSON rows.
+struct PhaseProfile {
+  double podem_seconds = 0;     ///< constrained PODEM cube search
+  double scoring_seconds = 0;   ///< MostFaults completion scoring
+  double shift_seconds = 0;     ///< tracker scan-shift + hidden compare
+  double classify_seconds = 0;  ///< tracker uncaught-fault classification
+  double advance_seconds = 0;   ///< tracker 512-lane hidden advance
+  double terminal_seconds = 0;  ///< terminal observes + ex-phase dropping
+  double total_seconds = 0;     ///< whole StitchEngine::run call
   std::size_t faults_classified = 0;  ///< DiffSim classification queries
-  std::size_t hidden_advanced = 0;    ///< hidden-fault lanes evaluated
+  std::size_t hidden_advanced = 0;    ///< BlockLaneSim lanes evaluated
+  std::size_t podem_calls = 0;        ///< constrained generate() attempts
+  std::size_t podem_backtracks = 0;   ///< backtracks across those calls
+  std::size_t cubes_found = 0;        ///< successful cubes collected
+  std::size_t candidates_scored = 0;  ///< MostFaults completions scored
+  std::size_t aborted = 0;            ///< generate() calls ending Aborted
+  std::size_t aborted_faults = 0;     ///< distinct faults ever Aborted
+  std::size_t sat_calls = 0;          ///< SAT solver invocations
+  std::size_t sat_conflicts = 0;      ///< CDCL conflicts across those calls
 
-  /// Deterministic view for comparisons: the work counters without the
-  /// wall-clock fields, so tests never depend on machine speed.
+  /// Deterministic view for comparisons and bench JSON: the work counters
+  /// without the wall-clock fields (which vary run to run and machine to
+  /// machine).  Byte-identical across VCOMP_THREADS values.
   obs::CounterSet counters_only() const {
     obs::CounterSet cs;
+    cs.values.emplace_back("atpg.aborted_faults", aborted_faults);
+    cs.values.emplace_back("atpg.sat_calls", sat_calls);
+    cs.values.emplace_back("atpg.sat_conflicts", sat_conflicts);
+    cs.values.emplace_back("stitch.aborted", aborted);
+    cs.values.emplace_back("stitch.candidates_scored", candidates_scored);
+    cs.values.emplace_back("stitch.cubes_found", cubes_found);
+    cs.values.emplace_back("stitch.podem_backtracks", podem_backtracks);
+    cs.values.emplace_back("stitch.podem_calls", podem_calls);
     cs.values.emplace_back("tracker.faults_classified", faults_classified);
     cs.values.emplace_back("tracker.hidden_advanced", hidden_advanced);
     return cs;
@@ -88,9 +116,10 @@ class StitchTracker {
   /// \p track marks the faults to follow (e.g. everything but proven
   /// redundancies); empty means "track all".  All internal simulators
   /// share the given pre-compiled evaluation graph.  \p model optionally
-  /// supplies a pre-built compacted simulation model for (\p graph,
-  /// \p faults) — the model depends only on those plus VCOMP_COMPACT, so
-  /// concurrent trackers may alias one copy; nullptr builds a private one.
+  /// supplies a pre-built simulation model for (\p graph, \p faults) —
+  /// the compacted model depends only on those two, so concurrent trackers
+  /// may alias one copy; nullptr builds a private compacted one.  (The
+  /// compaction oracle passes the identity model here as its reference.)
   StitchTracker(sim::EvalGraph::Ref graph,
                 const fault::CollapsedFaults& faults,
                 scan::CaptureMode capture, scan::Fabric fabric,
@@ -157,8 +186,12 @@ class StitchTracker {
   std::size_t cycle() const { return cycle_; }
   const netlist::Netlist& netlist() const { return *nl_; }
 
-  /// Cumulative per-phase wall-clock and work counters.
-  const TrackerProfile& profile() const { return profile_; }
+  /// Cumulative per-phase wall-clock and work counters of this tracker's
+  /// run; the tracker writes only its own fields.
+  const PhaseProfile& profile() const { return profile_; }
+  /// The same record, for the StitchEngine that runs this tracker to add
+  /// its own phases to.
+  PhaseProfile& mutable_profile() { return profile_; }
 
   /// Catch cycle of fault \p i (requires it to be caught).
   std::size_t catch_cycle(std::size_t i) const {
@@ -184,15 +217,14 @@ class StitchTracker {
   /// Compacted simulation graph + per-fault site mappings.  Every internal
   /// simulator below runs on model_->graph(); reported netlist()/chain
   /// positions stay in original ids (the model preserves input / dff / po
-  /// order, so index-based readouts need no translation).  VCOMP_COMPACT=0
-  /// turns the model into the identity and restores the original graph.
-  /// Shared (and immutable) so concurrent runs on one circuit build it once.
+  /// order, so index-based readouts need no translation).  Shared (and
+  /// immutable) so concurrent runs on one circuit build it once.
   std::shared_ptr<const fault::CompactModel> model_;
   fault::DiffSimShards ssims_;  // per-shard classification engines
   fault::DiffSim* sim0_;        // shard 0: also the good-machine readout
   fault::BlockLaneSim lanes_;
   std::size_t cycle_ = 0;
-  mutable TrackerProfile profile_;
+  mutable PhaseProfile profile_;
 
   /// One uncaught-fault classification verdict, written by exactly one
   /// shard and consumed by the serial fault-index-order merge.

@@ -20,9 +20,11 @@
 /// A MappedFault with no sites is genuinely unobservable (the folded
 /// signal drove nothing); simulators report no effect for it.
 ///
-/// Identity mode (enable = false, the VCOMP_COMPACT=0 kill switch) keeps
-/// the original netlist's graph and trivial one-site mappings, so callers
-/// run one unified code path either way.
+/// Identity mode (enable = false) keeps the original netlist's graph and
+/// trivial one-site mappings, so callers run one unified code path either
+/// way.  Production code always compacts; the compaction oracle and the
+/// tests use the identity model as the reference the compacted one must
+/// match.
 
 #include <cstdint>
 #include <memory>
@@ -34,12 +36,6 @@
 #include "vcomp/sim/eval_graph.hpp"
 
 namespace vcomp::fault {
-
-/// The VCOMP_COMPACT kill switch: "0" disables graph compaction (debug /
-/// A-B comparison); anything else — including unset — leaves it on.  Every
-/// layer that builds a CompactModel resolves the flag through this one
-/// reader so shared and privately-built models always agree.
-bool compact_enabled_from_env();
 
 /// One force site of a mapped fault, in compacted-graph ids.
 struct MappedSite {

@@ -21,10 +21,11 @@
 // engine's parallel layer guarantees), counters_only() is byte-identical
 // across thread counts.
 //
-// Runtime gate: VCOMP_OBS=0 in the environment disables collection (the
-// handles check one relaxed atomic bool).  Compile-time gate: configuring
-// with -DVCOMP_OBS=OFF defines VCOMP_OBS_DISABLED and the handle methods
-// compile to nothing.
+// Collection is always compiled in and on: no build option or environment
+// variable turns it off, so a result row that carries counters never
+// depends on how the program was built or launched.  set_metrics_enabled()
+// is the one gate (the handles check one relaxed atomic bool); tests and
+// benchmark harnesses use it to leave a stretch of work uncounted.
 
 #include <atomic>
 #include <cstdint>
@@ -37,27 +38,21 @@
 
 namespace vcomp::obs {
 
-#ifndef VCOMP_OBS_DISABLED
 namespace detail {
-/// Runtime gate: 0 = not yet resolved from VCOMP_OBS, 1 = on, 2 = off.
-/// Constant-initialised, so it is safe to consult from any dynamic
-/// initialiser or thread without ordering concerns.
-extern std::atomic<int> g_metrics_state;
-bool enabled_slow();  // resolves the env var, publishes 1 or 2
-inline bool enabled() {
-  const int s = g_metrics_state.load(std::memory_order_relaxed);
-  return s == 1 || (s == 0 && enabled_slow());
-}
+/// The runtime gate, true from the start.  Constant-initialised, so it is
+/// safe to consult from any dynamic initialiser or thread without ordering
+/// concerns.
+extern std::atomic<bool> g_metrics_on;
+inline bool enabled() { return g_metrics_on.load(std::memory_order_relaxed); }
 void counter_add(std::uint32_t slot, std::uint64_t n);
 void gauge_max(std::uint32_t slot, std::uint64_t v);
 void histogram_record(std::uint32_t slot, std::uint64_t v);
 void timer_add(std::uint32_t slot, double seconds);
 }  // namespace detail
-#endif
 
-/// True when metric collection is active (compiled in + runtime-enabled).
+/// True when metric collection is active (the default).
 bool metrics_enabled();
-/// Flip the runtime gate (initial value comes from VCOMP_OBS, default on).
+/// Flip the runtime gate.
 void set_metrics_enabled(bool on);
 
 /// Monotonic event count.  Merge across threads: sum.
@@ -66,11 +61,7 @@ class Counter {
   Counter() = default;
   void inc() const { add(1); }
   void add(std::uint64_t n) const {
-#ifndef VCOMP_OBS_DISABLED
     if (n != 0 && detail::enabled()) detail::counter_add(slot_, n);
-#else
-    (void)n;
-#endif
   }
 
  private:
@@ -85,11 +76,7 @@ class Gauge {
  public:
   Gauge() = default;
   void record(std::uint64_t v) const {
-#ifndef VCOMP_OBS_DISABLED
     if (detail::enabled()) detail::gauge_max(slot_, v);
-#else
-    (void)v;
-#endif
   }
 
  private:
@@ -104,11 +91,7 @@ class Histogram {
  public:
   Histogram() = default;
   void record(std::uint64_t v) const {
-#ifndef VCOMP_OBS_DISABLED
     if (detail::enabled()) detail::histogram_record(slot_, v);
-#else
-    (void)v;
-#endif
   }
 
  private:
@@ -123,11 +106,7 @@ class Timer {
  public:
   Timer() = default;
   void add_seconds(double s) const {
-#ifndef VCOMP_OBS_DISABLED
     if (detail::enabled()) detail::timer_add(slot_, s);
-#else
-    (void)s;
-#endif
   }
 
  private:

@@ -13,7 +13,9 @@
 // Span names must be string literals (or otherwise outlive the trace
 // buffer); they are stored as const char*.
 
+#include <cstdint>
 #include <iosfwd>
+#include <optional>
 
 #include "vcomp/obs/metrics.hpp"
 
@@ -24,37 +26,34 @@ bool trace_enabled();
 void set_trace_enabled(bool on);
 /// Drop all buffered events (epoch is kept).
 void clear_trace();
-/// Microseconds since the trace epoch; 0 when tracing is disabled.
-/// Pair with trace_complete() for code that already does its own timing.
-double trace_now_us();
-/// Record a complete event: started at start_us (from trace_now_us()),
-/// lasted dur_seconds.  No-op when tracing is disabled.
-void trace_complete(const char* name, double start_us, double dur_seconds);
 /// Emit the buffered events as Chrome-trace JSON ({"traceEvents":[...]}).
 void write_chrome_trace(std::ostream& os);
 
-/// RAII span: records a complete trace event for its lifetime and, when
-/// constructed with a Timer, also adds the elapsed seconds to it (so one
-/// clock read feeds both the trace and the metrics registry).
+/// RAII span: reads the monotonic clock once when it starts and once when
+/// it ends, and hands that one duration to every sink it has -- a trace
+/// event (when tracing was on at the start), the Timer it was given, and
+/// the seconds accumulator it was given.  A phase timed by one Span
+/// therefore reports the same seconds in a trace, in the metrics registry
+/// and in the caller's profile record.
 class Span {
  public:
-  explicit Span(const char* name) : Span(name, Timer{}, /*has_timer=*/false) {}
-  Span(const char* name, Timer timer) : Span(name, timer, true) {}
+  explicit Span(const char* name) : Span(name, std::nullopt, nullptr) {}
+  Span(const char* name, Timer timer) : Span(name, timer, nullptr) {}
+  /// Also adds the span's seconds to \p seconds when it ends, whether or
+  /// not metrics or tracing are on.
+  Span(const char* name, Timer timer, double& seconds)
+      : Span(name, timer, &seconds) {}
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// Elapsed seconds so far (0 when neither tracing nor metrics active).
-  double elapsed_seconds() const;
-
  private:
-  Span(const char* name, Timer timer, bool has_timer);
+  Span(const char* name, std::optional<Timer> timer, double* seconds);
   const char* name_;
-  Timer timer_;
-  bool has_timer_;
-  bool active_;       // either trace or metrics wanted a clock read
-  double start_us_;   // trace-epoch microseconds (valid when tracing)
-  long long start_ns_;  // steady_clock ns (valid when active_)
+  std::optional<Timer> timer_;
+  double* seconds_;
+  bool traced_;
+  std::int64_t start_ns_;  // steady_clock nanoseconds
 };
 
 }  // namespace vcomp::obs

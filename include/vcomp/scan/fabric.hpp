@@ -47,11 +47,6 @@ const char* to_string(PartitionPolicy p);
 /// Parses "round-robin" / "contiguous" / "random"; returns false on
 /// unknown names (\p out untouched).
 bool partition_from_string(const std::string& s, PartitionPolicy& out);
-/// Partition policy selected by the VCOMP_PARTITION environment variable
-/// (unset or empty → RoundRobin; unknown names throw).  Consulted by the
-/// table benches so sweeps can vary the partition without new flags; jobs
-/// (CLI and daemon) take the `partition` key instead.
-PartitionPolicy partition_from_env();
 
 /// Per-chain shift counts for one stitched cycle (size == num_chains).
 using ShiftPlan = std::vector<std::size_t>;

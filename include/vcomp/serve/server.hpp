@@ -19,10 +19,10 @@
 ///    so its row matches the standalone CLI's byte for byte, cache hit or
 ///    miss.
 ///
-/// Concurrency is bounded by ServeOptions::max_active_jobs (the
-/// VCOMP_SERVE_THREADS knob): excess submissions queue inside their runner
-/// threads.  Event emission is serialized by one mutex, so concurrent
-/// jobs interleave *lines*, never bytes.
+/// Concurrency is bounded by ServeOptions::max_active_jobs (vcomp_serve's
+/// --max-jobs): excess submissions queue inside their runner threads.
+/// Event emission is serialized by one mutex, so concurrent jobs
+/// interleave *lines*, never bytes.
 
 #include <atomic>
 #include <condition_variable>
@@ -40,8 +40,7 @@
 namespace vcomp::serve {
 
 struct ServeOptions {
-  /// Max jobs running concurrently; 0 resolves VCOMP_SERVE_THREADS
-  /// (unset or 0 → 2).
+  /// Max jobs running concurrently (0 → 2).
   std::size_t max_active_jobs = 0;
   /// Artifact registry budget (cached circuits; 0 = unlimited).
   std::size_t registry_budget = 0;
@@ -49,9 +48,6 @@ struct ServeOptions {
   /// themselves (0 = no progress events unless the job asks).
   std::size_t progress_every = 0;
 };
-
-/// Resolves the effective max_active_jobs (see ServeOptions).
-std::size_t resolve_max_active_jobs(std::size_t requested);
 
 class Server {
  public:

@@ -1,7 +1,7 @@
 #include "vcomp/check/oracles.hpp"
 
-#include <cstdlib>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <unordered_map>
 
@@ -173,33 +173,6 @@ std::optional<Failure> simulators_round(const Case& c,
 
 constexpr std::uint64_t kCompactSalt = 0xc0a1e5cedc0de5ULL;
 
-/// Sets an environment variable for the current scope and restores the
-/// previous binding (including "unset") on exit.  tracker_digest() reads
-/// VCOMP_COMPACT at tracker construction, so this is how the A-B below
-/// flips the compaction pass per run.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_)
-      ::setenv(name_, saved_.c_str(), 1);
-    else
-      ::unsetenv(name_);
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
-
 /// XOR-folds a fault effect's ppo diffs per dff index.  simulate_mapped may
 /// report one diff per mapped site; duplicates on the same dff fold as XOR
 /// exactly like the tracker applies them, so the folded map is the
@@ -353,9 +326,9 @@ struct RefTrackerResult {
   std::unordered_map<std::uint32_t, std::size_t> catch_cycle;
   std::unordered_map<std::uint32_t, std::vector<std::uint8_t>> hidden_chain;
   std::size_t terminal_caught = 0;
-  // Work tallies mirroring TrackerProfile: uncaught faults classified and
-  // hidden faults advanced, counted per cycle the same way the tracker
-  // counts its sharded/64-lane work.
+  // Work tallies mirroring the tracker's PhaseProfile counters: uncaught
+  // faults classified and hidden faults advanced, counted per cycle the
+  // same way the tracker counts its sharded/64-lane work.
   std::size_t faults_classified = 0;
   std::size_t hidden_advanced = 0;
 };
@@ -533,10 +506,14 @@ struct TrackerRun {
   std::size_t hidden_advanced = 0;
 };
 
-TrackerRun run_tracker(const Case& c) {
+/// Drives a StitchTracker through the case's schedule.  \p model, when
+/// given, replaces the compacted simulation model the tracker builds.
+TrackerRun run_tracker(
+    const Case& c, std::shared_ptr<const fault::CompactModel> model = nullptr) {
   const scan::Fabric fabric = case_fabric(c);
-  core::StitchTracker tracker(c.netlist, c.faults, c.capture, fabric,
-                              case_out_model(c, fabric), c.track);
+  core::StitchTracker tracker(sim::EvalGraph::compile(c.netlist), c.faults,
+                              c.capture, fabric, case_out_model(c, fabric),
+                              c.track, std::move(model));
   TrackerRun out;
   out.cycles.push_back(tracker.apply_first(c.schedule.vectors[0]));
   for (std::size_t ci = 1; ci < c.schedule.vectors.size(); ++ci) {
@@ -552,11 +529,8 @@ TrackerRun run_tracker(const Case& c) {
   if (c.schedule.terminal_observe > 0)
     out.terminal_caught = tracker.terminal_observe(c.schedule.terminal_observe);
   tracker.state().flat_bits(out.chain_ff);
-  // Read the work counters through the deterministic view (no wall-clock
-  // fields can leak into the comparison below).
-  const obs::CounterSet counters = tracker.profile().counters_only();
-  out.faults_classified = counters.get("tracker.faults_classified");
-  out.hidden_advanced = counters.get("tracker.hidden_advanced");
+  out.faults_classified = tracker.profile().faults_classified;
+  out.hidden_advanced = tracker.profile().hidden_advanced;
   for (std::uint32_t i : tracked_indices(c)) {
     out.state[i] = tracker.sets().state(i);
     if (out.state[i] == core::FaultState::Caught)
@@ -565,6 +539,32 @@ TrackerRun run_tracker(const Case& c) {
       tracker.sets().hidden_state(i).flat_bits(out.hidden_chain[i]);
   }
   return out;
+}
+
+/// Canonical byte string of one tracker run (see tracker_digest).
+std::string run_digest(const Case& c, const TrackerRun& run) {
+  std::ostringstream os;
+  for (const auto& st : run.cycles)
+    os << st.shift << ',' << st.caught_at_shift << ',' << st.caught_at_po
+       << ',' << st.new_hidden << ',' << st.hidden_reverted << ','
+       << st.hidden_after << ';';
+  os << '|';
+  for (std::uint8_t b : run.chain_ff) os << char('0' + b);
+  os << '|' << run.terminal_caught << '|' << run.faults_classified << ','
+     << run.hidden_advanced << '|';
+  // Deterministic fault order: tracked_indices is ascending.
+  for (std::uint32_t i : tracked_indices(c)) {
+    os << i << ':' << static_cast<int>(run.state.at(i));
+    const auto cc = run.catch_cycle.find(i);
+    if (cc != run.catch_cycle.end()) os << '@' << cc->second;
+    const auto hc = run.hidden_chain.find(i);
+    if (hc != run.hidden_chain.end()) {
+      os << '=';
+      for (std::uint8_t b : hc->second) os << char('0' + b);
+    }
+    os << ';';
+  }
+  return os.str();
 }
 
 std::string stats_str(const core::CycleStats& st) {
@@ -670,20 +670,14 @@ std::optional<Failure> check_compaction(const Case& c,
       return f;
     }
   }
-  // Full-tracker A-B: the stitched run must be byte-identical with the
-  // compaction pass forced on and off.
-  std::string on, off;
-  {
-    ScopedEnv env("VCOMP_COMPACT", "1");
-    on = tracker_digest(c);
-  }
-  {
-    ScopedEnv env("VCOMP_COMPACT", "0");
-    off = tracker_digest(c);
-  }
-  if (on != off)
+  // Full-tracker A-B: the stitched run on the compacted model must be
+  // byte-identical to the run on the identity model.
+  const auto identity = std::make_shared<const fault::CompactModel>(
+      graph, c.faults.faults(), /*enable=*/false);
+  if (tracker_digest(c) != run_digest(c, run_tracker(c, identity)))
     return fail("compact",
-                "tracker digest differs between VCOMP_COMPACT=1 and =0");
+                "tracker digest differs between the compacted and the "
+                "identity model");
   return std::nullopt;
 }
 
@@ -978,29 +972,7 @@ std::optional<Failure> check_adi(const Case& c, std::uint64_t seed,
 }
 
 std::string tracker_digest(const Case& c) {
-  const TrackerRun run = run_tracker(c);
-  std::ostringstream os;
-  for (const auto& st : run.cycles)
-    os << st.shift << ',' << st.caught_at_shift << ',' << st.caught_at_po
-       << ',' << st.new_hidden << ',' << st.hidden_reverted << ','
-       << st.hidden_after << ';';
-  os << '|';
-  for (std::uint8_t b : run.chain_ff) os << char('0' + b);
-  os << '|' << run.terminal_caught << '|' << run.faults_classified << ','
-     << run.hidden_advanced << '|';
-  // Deterministic fault order: tracked_indices is ascending.
-  for (std::uint32_t i : tracked_indices(c)) {
-    os << i << ':' << static_cast<int>(run.state.at(i));
-    const auto cc = run.catch_cycle.find(i);
-    if (cc != run.catch_cycle.end()) os << '@' << cc->second;
-    const auto hc = run.hidden_chain.find(i);
-    if (hc != run.hidden_chain.end()) {
-      os << '=';
-      for (std::uint8_t b : hc->second) os << char('0' + b);
-    }
-    os << ';';
-  }
-  return os.str();
+  return run_digest(c, run_tracker(c));
 }
 
 std::optional<Failure> run_oracles(const Case& c, const Scenario& sc) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 
 #include "vcomp/atpg/fill.hpp"
 #include "vcomp/obs/obs.hpp"
@@ -27,15 +26,10 @@ namespace {
 constexpr std::uint32_t kObservedWeight = 4;
 constexpr std::uint32_t kHiddenWeight = 1;
 
-using Clock = std::chrono::steady_clock;
-
-double secs_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
 // Engine-side registry metrics; the run-local copies of the same tallies
 // live in PhaseProfile (so bench rows stay comparable row by row no matter
-// which circuits a given invocation sweeps).
+// which circuits a given invocation sweeps).  Each timer and its profile
+// field are fed by one Span.
 struct StitchMetrics {
   obs::Counter runs = obs::counter("stitch.runs");
   obs::Counter cubes_found = obs::counter("stitch.cubes_found");
@@ -44,6 +38,7 @@ struct StitchMetrics {
   obs::Counter redundant_skips = obs::counter("stitch.redundant_skips");
   obs::Timer podem_seconds = obs::timer("stitch.podem_seconds");
   obs::Timer scoring_seconds = obs::timer("stitch.scoring_seconds");
+  obs::Timer drop_seconds = obs::timer("stitch.drop_seconds");
   obs::Timer run_seconds = obs::timer("stitch.run_seconds");
 };
 
@@ -138,7 +133,7 @@ void StitchEngine::load_scoring_sim(fault::DiffSim& sim, const TestVector& v) {
 
 std::optional<StitchEngine::Candidate> StitchEngine::generate(
     const FaultSets& sets, const FabricState& state, const ShiftPlan& plan,
-    bool first_vector) {
+    bool first_vector, PhaseProfile& prof) {
   PpiConstraints cons;
   if (!first_vector) cons = constraints_for(state, plan);
   // Unconstrained queries (no pinned cell) prove *combinational* redundancy
@@ -153,17 +148,18 @@ std::optional<StitchEngine::Candidate> StitchEngine::generate(
     tried_this_cycle_.assign(faults_->size(), 0);
   ++cycle_stamp_;
 
+  const StitchMetrics& m = stitch_metrics();
   // Shared per-attempt accounting for both scan loops below.
   auto attempt = [&](std::size_t idx) {
     atpg::GenResult res = engine_->generate((*faults_)[idx], &cons);
-    ++podem_calls_;
-    podem_backtracks_ += res.backtracks;
-    sat_calls_ += res.sat_calls;
-    sat_conflicts_ += res.conflicts;
+    ++prof.podem_calls;
+    prof.podem_backtracks += res.backtracks;
+    prof.sat_calls += res.sat_calls;
+    prof.sat_conflicts += res.conflicts;
     if (res.status == PodemStatus::Aborted) {
-      ++aborted_;
+      ++prof.aborted;
       aborted_fault_[idx] = 1;
-      stitch_metrics().aborted.inc();
+      m.aborted.inc();
     } else if (res.status == PodemStatus::Untestable && !pinned) {
       redundant_[idx] = 1;
     }
@@ -179,64 +175,58 @@ std::optional<StitchEngine::Candidate> StitchEngine::generate(
   const std::size_t n = order_.size();
   const std::size_t start = greedy ? cursor_ : 0;
   std::uint32_t attempts = 0;
-  const auto t_podem = Clock::now();
-  const double ts_podem = obs::trace_now_us();
-  for (std::size_t k = 0; k < n; ++k) {
-    if (cubes.size() >= want) break;
-    if (attempts >= opts_.max_targets_per_cycle) break;
-    const std::size_t idx = order_[(start + k) % n];
-    if (!targetable_[idx] || sets.state(idx) != FaultState::Uncaught)
-      continue;
-    if (redundant_[idx]) {
-      stitch_metrics().redundant_skips.inc();
-      continue;
-    }
-    ++attempts;
-    if (greedy) cursor_ = (start + k + 1) % n;
-    auto res = attempt(idx);
-    if (res.status == PodemStatus::Success)
-      cubes.push_back({std::move(res.cube), idx});
-    else
-      tried_this_cycle_[idx] = cycle_stamp_;
-  }
-
-  if (cubes.empty()) {
-    // Wide failure scan so that "generation failed" really means no
-    // examined target is catchable: every uncaught target at full
-    // backtrack strength.  This sweep only runs when the greedy phase came
-    // up empty, i.e. near stalls.
-    std::uint32_t scanned = 0;
-    for (std::size_t k = 0; k < n && scanned < opts_.max_targets_on_failure;
-         ++k) {
+  {
+    const obs::Span span("stitch.podem", m.podem_seconds, prof.podem_seconds);
+    for (std::size_t k = 0; k < n; ++k) {
+      if (cubes.size() >= want) break;
+      if (attempts >= opts_.max_targets_per_cycle) break;
       const std::size_t idx = order_[(start + k) % n];
       if (!targetable_[idx] || sets.state(idx) != FaultState::Uncaught)
         continue;
       if (redundant_[idx]) {
-        stitch_metrics().redundant_skips.inc();
+        m.redundant_skips.inc();
         continue;
       }
-      // Phase 1 already tried (and failed) some of these this cycle.
-      if (tried_this_cycle_[idx] == cycle_stamp_) continue;
-      ++scanned;
+      ++attempts;
+      if (greedy) cursor_ = (start + k + 1) % n;
       auto res = attempt(idx);
-      if (res.status == PodemStatus::Success) {
+      if (res.status == PodemStatus::Success)
         cubes.push_back({std::move(res.cube), idx});
-        if (greedy) cursor_ = (start + k + 1) % n;
-        if (cubes.size() >= want) break;  // keep the greedy pick diverse
-      } else {
+      else
         tried_this_cycle_[idx] = cycle_stamp_;
+    }
+
+    if (cubes.empty()) {
+      // Wide failure scan so that "generation failed" really means no
+      // examined target is catchable: every uncaught target at full
+      // backtrack strength.  This sweep only runs when the greedy phase came
+      // up empty, i.e. near stalls.
+      std::uint32_t scanned = 0;
+      for (std::size_t k = 0; k < n && scanned < opts_.max_targets_on_failure;
+           ++k) {
+        const std::size_t idx = order_[(start + k) % n];
+        if (!targetable_[idx] || sets.state(idx) != FaultState::Uncaught)
+          continue;
+        if (redundant_[idx]) {
+          m.redundant_skips.inc();
+          continue;
+        }
+        // Phase 1 already tried (and failed) some of these this cycle.
+        if (tried_this_cycle_[idx] == cycle_stamp_) continue;
+        ++scanned;
+        auto res = attempt(idx);
+        if (res.status == PodemStatus::Success) {
+          cubes.push_back({std::move(res.cube), idx});
+          if (greedy) cursor_ = (start + k + 1) % n;
+          if (cubes.size() >= want) break;  // keep the greedy pick diverse
+        } else {
+          tried_this_cycle_[idx] = cycle_stamp_;
+        }
       }
     }
   }
-  const double dt_podem = secs_since(t_podem);
-  podem_seconds_ += dt_podem;
-  cubes_found_ += cubes.size();
-  {
-    const StitchMetrics& m = stitch_metrics();
-    m.cubes_found.add(cubes.size());
-    m.podem_seconds.add_seconds(dt_podem);
-  }
-  obs::trace_complete("stitch.podem", ts_podem, dt_podem);
+  prof.cubes_found += cubes.size();
+  m.cubes_found.add(cubes.size());
   if (cubes.empty()) return std::nullopt;
 
   if (!greedy) {
@@ -248,8 +238,8 @@ std::optional<StitchEngine::Candidate> StitchEngine::generate(
 
   // MostFaults: complete every cube several ways and score all completions
   // in one 64-way pattern-parallel fault-simulation pass.
-  const auto t_score = Clock::now();
-  const double ts_score = obs::trace_now_us();
+  const obs::Span span("stitch.score", m.scoring_seconds,
+                       prof.scoring_seconds);
   std::vector<Candidate> cands;
   for (const auto& tc : cubes) {
     for (std::uint32_t f = 0; f < opts_.fills_per_cube && cands.size() < 64;
@@ -354,21 +344,24 @@ std::optional<StitchEngine::Candidate> StitchEngine::generate(
   std::size_t best = 0;
   for (std::size_t k = 1; k < cands.size(); ++k)
     if (score[k] > score[best]) best = k;
-  const double dt_score = secs_since(t_score);
-  scoring_seconds_ += dt_score;
-  candidates_scored_ += cands.size();
-  {
-    const StitchMetrics& m = stitch_metrics();
-    m.candidates_scored.add(cands.size());
-    m.scoring_seconds.add_seconds(dt_score);
-  }
-  obs::trace_complete("stitch.score", ts_score, dt_score);
+  prof.candidates_scored += cands.size();
+  m.candidates_scored.add(cands.size());
   return std::move(cands[best]);
 }
 
 StitchResult StitchEngine::run() {
-  const auto t_run = Clock::now();
-  const double ts_run = obs::trace_now_us();
+  const StitchMetrics& m = stitch_metrics();
+  StitchResult res;
+  {
+    const obs::Span span("stitch.run", m.run_seconds,
+                         res.profile.total_seconds);
+    run_into(res);
+  }
+  m.runs.inc();
+  return res;
+}
+
+void StitchEngine::run_into(StitchResult& res) {
   const std::size_t L = nl_->num_dffs();
   const std::size_t npi = nl_->num_inputs();
   const std::size_t npo = nl_->num_outputs();
@@ -377,7 +370,6 @@ StitchResult StitchEngine::run() {
   const std::size_t max_len = fabric_.max_chain_length();
   const bool multi = fabric_.num_chains() > 1;
 
-  StitchResult res;
   res.baseline_vectors = atv;
   res.baseline_cost = scan::CostMeter::full_scan(npi, npo, L, max_len, atv);
   for (std::uint8_t t : targetable_) res.targets += t;
@@ -399,6 +391,8 @@ StitchResult StitchEngine::run() {
     if (baseline_->classes[i] == atpg::FaultClass::Redundant) track[i] = 0;
   StitchTracker tracker(eg_, *faults_, opts_.capture, fabric_, out_model_,
                         std::move(track), compact_);
+  // The engine adds its own phases to the tracker's profile record.
+  PhaseProfile& prof = tracker.mutable_profile();
   // O(1) loop-termination predicate: the sets maintain the count of
   // targetable faults still in f_u across state transitions.
   tracker.mutable_sets().set_targetable(targetable_);
@@ -440,7 +434,7 @@ StitchResult StitchEngine::run() {
          !below_break_even()) {
     const bool first = tracker.cycle() == 0;
     const scan::ShiftPlan plan = fabric_.plan_for(policy->current());
-    auto cand = generate(tracker.sets(), tracker.state(), plan, first);
+    auto cand = generate(tracker.sets(), tracker.state(), plan, first, prof);
     if (!cand) {
       if (first) break;  // nothing generable at all — straight to ex phase
       if (policy->on_failure()) continue;
@@ -527,7 +521,8 @@ StitchResult StitchEngine::run() {
     // verdict buffer; the serial merge below walks the buffer in index
     // order, so catches and the retained `remaining` order are identical
     // for every thread count.
-    const auto t_drop = Clock::now();
+    const obs::Span span("stitch.drop", stitch_metrics().drop_seconds,
+                         prof.terminal_seconds);
     std::size_t ex = 0;
     for (const auto& bv : baseline_->vectors) {
       if (remaining.empty()) break;
@@ -563,7 +558,6 @@ StitchResult StitchEngine::run() {
     meter.extra_full_vectors(ex);
     VCOMP_ENSURE(remaining.empty(),
                  "baseline pool failed to cover remaining faults");
-    res.profile.terminal_seconds += secs_since(t_drop);
   } else if (tracker.sets().num_hidden() > 0) {
     // All of f_u is covered; observe the still-hidden faults.  Prefer the
     // cheap partial observation when it provably catches all of them.
@@ -594,32 +588,9 @@ StitchResult StitchEngine::run() {
     if (targetable_[i] && tracker.sets().state(i) != FaultState::Caught)
       ++res.uncovered;
 
-  const TrackerProfile& tp = tracker.profile();
-  res.profile.podem_seconds = podem_seconds_;
-  res.profile.scoring_seconds = scoring_seconds_;
-  res.profile.shift_seconds = tp.shift_seconds;
-  res.profile.classify_seconds = tp.classify_seconds;
-  res.profile.advance_seconds = tp.advance_seconds;
-  res.profile.terminal_seconds += tp.terminal_seconds;
-  res.profile.faults_classified = tp.faults_classified;
-  res.profile.hidden_advanced = tp.hidden_advanced;
-  res.profile.podem_calls = podem_calls_;
-  res.profile.podem_backtracks = podem_backtracks_;
-  res.profile.cubes_found = cubes_found_;
-  res.profile.candidates_scored = candidates_scored_;
-  res.profile.aborted = aborted_;
-  res.profile.sat_calls = sat_calls_;
-  res.profile.sat_conflicts = sat_conflicts_;
-  for (std::uint8_t a : aborted_fault_)
-    res.profile.aborted_faults += a;
-  res.profile.total_seconds = secs_since(t_run);
-  {
-    const StitchMetrics& m = stitch_metrics();
-    m.runs.inc();
-    m.run_seconds.add_seconds(res.profile.total_seconds);
-  }
-  obs::trace_complete("stitch.run", ts_run, res.profile.total_seconds);
-  return res;
+  for (std::uint8_t a : aborted_fault_) prof.aborted_faults += a;
+  // total_seconds is still 0 here: run()'s stitch.run span adds it after.
+  res.profile = prof;
 }
 
 }  // namespace vcomp::core

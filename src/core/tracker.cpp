@@ -1,8 +1,6 @@
 #include "vcomp/core/tracker.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
 
 #include "vcomp/obs/obs.hpp"
 #include "vcomp/util/assert.hpp"
@@ -16,14 +14,9 @@ using sim::Word;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double secs_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-// Registry mirrors of the per-instance TrackerProfile: process-wide totals
-// (exact, thread-count invariant) plus wall-clock timers (reported only).
+// Registry mirrors of the tracker's PhaseProfile fields: process-wide
+// totals (exact, thread-count invariant) plus wall-clock timers (reported
+// only), fed by the same Spans as the profile.
 struct TrackerMetrics {
   obs::Counter cycles = obs::counter("tracker.cycles");
   obs::Counter faults_classified = obs::counter("tracker.faults_classified");
@@ -63,8 +56,7 @@ StitchTracker::StitchTracker(sim::EvalGraph::Ref graph,
       model_(model != nullptr
                  ? std::move(model)
                  : std::make_shared<const fault::CompactModel>(
-                       graph, faults.faults(),
-                       fault::compact_enabled_from_env())),
+                       graph, faults.faults(), /*enable=*/true)),
       ssims_(model_->graph()),
       sim0_(&ssims_.at(0)),
       lanes_(model_->graph()),
@@ -167,6 +159,7 @@ CycleStats StitchTracker::apply(const TestVector& v,
   const std::size_t npi = nl_->num_inputs();
   const std::size_t npo = nl_->num_outputs();
   const std::size_t s = scan::Fabric::plan_total(plan);
+  const TrackerMetrics& m = tracker_metrics();
   CycleStats st;
   st.shift = s;
 
@@ -184,8 +177,8 @@ CycleStats StitchTracker::apply(const TestVector& v,
     // the pre-shift fabrics, and only the survivors shift.  The snapshot
     // also feeds the advance phase below (shift-caught faults are skipped
     // there).
-    const auto t0 = Clock::now();
-    const double ts0 = obs::trace_now_us();
+    const obs::Span span("tracker.shift", m.shift_seconds,
+                         profile_.shift_seconds);
     in_bits_.resize(s);
     std::size_t off = 0;
     for (std::size_t c = 0; c < fabric_.num_chains(); ++c) {
@@ -204,10 +197,6 @@ CycleStats StitchTracker::apply(const TestVector& v,
       }
     }
     state_.shift(plan, in_bits_);
-    const double dt0 = secs_since(t0);
-    profile_.shift_seconds += dt0;
-    tracker_metrics().shift_seconds.add_seconds(dt0);
-    obs::trace_complete("tracker.shift", ts0, dt0);
   }
   ++cycle_;
 
@@ -225,59 +214,57 @@ CycleStats StitchTracker::apply(const TestVector& v,
   // writes its slots of the verdict buffer; the merge below applies state
   // transitions serially in fault-index order, so the resulting CycleStats
   // and FaultSets are identical for every thread count.
-  const auto t1 = Clock::now();
-  const double ts1 = obs::trace_now_us();
-  classify_.clear();
-  for (std::size_t i = 0; i < faults_->size(); ++i)
-    if (track_[i] && sets_.state(i) == FaultState::Uncaught)
-      classify_.push_back(i);
-  if (verdicts_.size() < classify_.size()) verdicts_.resize(classify_.size());
-  util::parallel_for_shards(
-      classify_.size(), ssims_.max_shards(),
-      [&](std::size_t shard, std::size_t b, std::size_t e) {
-        fault::DiffSim& sim = ssims_.at(shard);
-        if (shard != 0) {  // shard 0 is sim0_, already committed above
-          load_stimulus(sim, v);
-          sim.commit_good();
-        }
-        for (std::size_t n = b; n < e; ++n) {
-          Verdict& vd = verdicts_[n];
-          vd.kind = 0;
-          vd.flips.clear();
-          const auto eff = sim.simulate_mapped(model_->mapped(classify_[n]));
-          if (eff.po_any & 1) {
-            vd.kind = 1;
-            continue;
+  {
+    const obs::Span span("tracker.classify", m.classify_seconds,
+                         profile_.classify_seconds);
+    classify_.clear();
+    for (std::size_t i = 0; i < faults_->size(); ++i)
+      if (track_[i] && sets_.state(i) == FaultState::Uncaught)
+        classify_.push_back(i);
+    if (verdicts_.size() < classify_.size()) verdicts_.resize(classify_.size());
+    util::parallel_for_shards(
+        classify_.size(), ssims_.max_shards(),
+        [&](std::size_t shard, std::size_t b, std::size_t e) {
+          fault::DiffSim& sim = ssims_.at(shard);
+          if (shard != 0) {  // shard 0 is sim0_, already committed above
+            load_stimulus(sim, v);
+            sim.commit_good();
           }
-          for (const auto& d : eff.ppo_diffs)
-            if (d.diff & 1)
-              vd.flips.push_back(
-                  static_cast<std::uint32_t>(fabric_.flat_of(d.dff_index)));
-          if (!vd.flips.empty()) vd.kind = 2;
-        }
-      });
-  for (std::size_t n = 0; n < classify_.size(); ++n) {
-    const Verdict& vd = verdicts_[n];
-    if (vd.kind == 0) continue;
-    const std::size_t i = classify_[n];
-    if (vd.kind == 1) {
-      sets_.set_caught(i, cycle_);
-      ++st.caught_at_po;
-      continue;
+          for (std::size_t n = b; n < e; ++n) {
+            Verdict& vd = verdicts_[n];
+            vd.kind = 0;
+            vd.flips.clear();
+            const auto eff = sim.simulate_mapped(model_->mapped(classify_[n]));
+            if (eff.po_any & 1) {
+              vd.kind = 1;
+              continue;
+            }
+            for (const auto& d : eff.ppo_diffs)
+              if (d.diff & 1)
+                vd.flips.push_back(
+                    static_cast<std::uint32_t>(fabric_.flat_of(d.dff_index)));
+            if (!vd.flips.empty()) vd.kind = 2;
+          }
+        });
+    for (std::size_t n = 0; n < classify_.size(); ++n) {
+      const Verdict& vd = verdicts_[n];
+      if (vd.kind == 0) continue;
+      const std::size_t i = classify_[n];
+      if (vd.kind == 1) {
+        sets_.set_caught(i, cycle_);
+        ++st.caught_at_po;
+        continue;
+      }
+      faulty_next_ = ppo_ff_;
+      for (std::uint32_t p : vd.flips) faulty_next_[p] ^= 1;
+      sf_state_.load(pre_capture_);
+      sf_state_.capture(faulty_next_, capture_);
+      if (sf_state_ == state_) continue;  // VXor can cancel the difference
+      sets_.set_hidden(i, sf_state_);
+      ++st.new_hidden;
     }
-    faulty_next_ = ppo_ff_;
-    for (std::uint32_t p : vd.flips) faulty_next_[p] ^= 1;
-    sf_state_.load(pre_capture_);
-    sf_state_.capture(faulty_next_, capture_);
-    if (sf_state_ == state_) continue;  // VXor can cancel the difference
-    sets_.set_hidden(i, sf_state_);
-    ++st.new_hidden;
   }
-  const double dt1 = secs_since(t1);
-  profile_.classify_seconds += dt1;
   profile_.faults_classified += classify_.size();
-  tracker_metrics().classify_seconds.add_seconds(dt1);
-  obs::trace_complete("tracker.classify", ts1, dt1);
 
   // Advance surviving hidden faults through their mutated vectors T_f, in
   // 512-lane Block batches (each lane carries a private stimulus plus its
@@ -286,75 +273,71 @@ CycleStats StitchTracker::apply(const TestVector& v,
   // transposed into Blocks.  Batch width changes throughput only: per-lane
   // verdicts and the hidden_advanced counter are pure functions of the
   // fault index, identical to the former 64-lane sweep.
-  const auto t2 = Clock::now();
-  const double ts2 = obs::trace_now_us();
   std::size_t advanced = 0;
-  for (std::size_t base = 0; base < hidden_before_.size();
-       base += sim::kBlockLanes) {
-    const std::size_t count =
-        std::min<std::size_t>(sim::kBlockLanes, hidden_before_.size() - base);
-    batch_.clear();
-    for (std::size_t k = 0; k < count; ++k) {
-      const std::size_t i = hidden_before_[base + k];
-      if (sets_.state(i) == FaultState::Hidden) batch_.push_back(i);
-    }
-    if (batch_.empty()) continue;  // whole batch shift-caught: skip the sim
-    lanes_.clear();
-    state_blocks_.assign(L, Block::zero());
-    for (std::size_t k = 0; k < batch_.size(); ++k) {
-      lanes_.add_lane();
-      const scan::FabricState& hs = sets_.hidden_state(batch_[k]);
-      for (std::size_t c = 0; c < fabric_.num_chains(); ++c) {
-        const auto& bits = hs.chain(c).bits();
-        const std::size_t base_p = fabric_.chain_offset(c);
-        for (std::size_t p = 0; p < bits.size(); ++p)
-          state_blocks_[base_p + p].w[k / 64] |= Word{bits[p]} << (k % 64);
+  {
+    const obs::Span span("tracker.advance", m.advance_seconds,
+                         profile_.advance_seconds);
+    for (std::size_t base = 0; base < hidden_before_.size();
+         base += sim::kBlockLanes) {
+      const std::size_t count =
+          std::min<std::size_t>(sim::kBlockLanes, hidden_before_.size() - base);
+      batch_.clear();
+      for (std::size_t k = 0; k < count; ++k) {
+        const std::size_t i = hidden_before_[base + k];
+        if (sets_.state(i) == FaultState::Hidden) batch_.push_back(i);
       }
-      lanes_.inject_mapped(static_cast<int>(k), model_->mapped(batch_[k]));
-    }
-    for (std::size_t pi = 0; pi < npi; ++pi)
-      lanes_.set_pi_all(pi, v.pi[pi] != 0);
-    for (std::size_t p = 0; p < L; ++p)
-      lanes_.set_state_block(fabric_.dff_at_flat(p), state_blocks_[p]);
-    lanes_.eval();
-
-    const Block active = Block::lane_mask(batch_.size());
-    Block po_diff = Block::zero();
-    for (std::size_t j = 0; j < npo; ++j)
-      po_diff |= lanes_.output_block(j) ^ Block::fill(po_ff_[j] != 0);
-    po_diff &= active;
-    next_blocks_.resize(L);
-    for (std::size_t p = 0; p < L; ++p)
-      next_blocks_[p] = lanes_.next_state_block(fabric_.dff_at_flat(p));
-
-    for (std::size_t k = 0; k < batch_.size(); ++k) {
-      const std::size_t i = batch_[k];
-      if (po_diff.lane(k)) {
-        sets_.set_caught(i, cycle_);
-        ++st.caught_at_po;
-        continue;
+      if (batch_.empty()) continue;  // whole batch shift-caught: skip the sim
+      lanes_.clear();
+      state_blocks_.assign(L, Block::zero());
+      for (std::size_t k = 0; k < batch_.size(); ++k) {
+        lanes_.add_lane();
+        const scan::FabricState& hs = sets_.hidden_state(batch_[k]);
+        for (std::size_t c = 0; c < fabric_.num_chains(); ++c) {
+          const auto& bits = hs.chain(c).bits();
+          const std::size_t base_p = fabric_.chain_offset(c);
+          for (std::size_t p = 0; p < bits.size(); ++p)
+            state_blocks_[base_p + p].w[k / 64] |= Word{bits[p]} << (k % 64);
+        }
+        lanes_.inject_mapped(static_cast<int>(k), model_->mapped(batch_[k]));
       }
-      faulty_next_.resize(L);
+      for (std::size_t pi = 0; pi < npi; ++pi)
+        lanes_.set_pi_all(pi, v.pi[pi] != 0);
       for (std::size_t p = 0; p < L; ++p)
-        faulty_next_[p] = static_cast<std::uint8_t>(next_blocks_[p].lane(k));
-      sf_state_ = sets_.hidden_state(i);
-      sf_state_.capture(faulty_next_, capture_);
-      if (sf_state_ == state_) {
-        sets_.set_uncaught(i);
-        ++st.hidden_reverted;
-      } else {
-        sets_.mutable_hidden_state(i) = sf_state_;
-      }
-    }
-    profile_.hidden_advanced += batch_.size();
-    advanced += batch_.size();
-  }
-  const double dt2 = secs_since(t2);
-  profile_.advance_seconds += dt2;
+        lanes_.set_state_block(fabric_.dff_at_flat(p), state_blocks_[p]);
+      lanes_.eval();
 
-  const TrackerMetrics& m = tracker_metrics();
-  m.advance_seconds.add_seconds(dt2);
-  obs::trace_complete("tracker.advance", ts2, dt2);
+      const Block active = Block::lane_mask(batch_.size());
+      Block po_diff = Block::zero();
+      for (std::size_t j = 0; j < npo; ++j)
+        po_diff |= lanes_.output_block(j) ^ Block::fill(po_ff_[j] != 0);
+      po_diff &= active;
+      next_blocks_.resize(L);
+      for (std::size_t p = 0; p < L; ++p)
+        next_blocks_[p] = lanes_.next_state_block(fabric_.dff_at_flat(p));
+
+      for (std::size_t k = 0; k < batch_.size(); ++k) {
+        const std::size_t i = batch_[k];
+        if (po_diff.lane(k)) {
+          sets_.set_caught(i, cycle_);
+          ++st.caught_at_po;
+          continue;
+        }
+        faulty_next_.resize(L);
+        for (std::size_t p = 0; p < L; ++p)
+          faulty_next_[p] = static_cast<std::uint8_t>(next_blocks_[p].lane(k));
+        sf_state_ = sets_.hidden_state(i);
+        sf_state_.capture(faulty_next_, capture_);
+        if (sf_state_ == state_) {
+          sets_.set_uncaught(i);
+          ++st.hidden_reverted;
+        } else {
+          sets_.mutable_hidden_state(i) = sf_state_;
+        }
+      }
+      profile_.hidden_advanced += batch_.size();
+      advanced += batch_.size();
+    }
+  }
   m.cycles.inc();
   m.faults_classified.add(classify_.size());
   m.hidden_advanced.add(advanced);
@@ -369,7 +352,9 @@ CycleStats StitchTracker::apply(const TestVector& v,
 
 bool StitchTracker::partial_observe_suffices(
     const scan::ShiftPlan& plan) const {
-  const auto t0 = Clock::now();
+  const obs::Span span("tracker.partial_observe",
+                       tracker_metrics().terminal_seconds,
+                       profile_.terminal_seconds);
   bool ok = true;
   sets_.hidden_list(observe_list_);
   for (std::size_t i : observe_list_) {
@@ -379,9 +364,6 @@ bool StitchTracker::partial_observe_suffices(
       break;
     }
   }
-  const double dt = secs_since(t0);
-  profile_.terminal_seconds += dt;
-  tracker_metrics().terminal_seconds.add_seconds(dt);
   return ok;
 }
 
@@ -393,8 +375,9 @@ std::size_t StitchTracker::terminal_observe(const scan::ShiftPlan& plan) {
   VCOMP_REQUIRE(plan.size() == fabric_.num_chains(), "plan size mismatch");
   VCOMP_REQUIRE(scan::Fabric::plan_total(plan) <= nl_->num_dffs(),
                 "observe size out of range");
-  const auto t0 = Clock::now();
-  const double ts0 = obs::trace_now_us();
+  const TrackerMetrics& m = tracker_metrics();
+  const obs::Span span("tracker.terminal_observe", m.terminal_seconds,
+                       profile_.terminal_seconds);
   std::size_t caught = 0;
   sets_.hidden_list(observe_list_);
   for (std::size_t i : observe_list_) {
@@ -404,12 +387,7 @@ std::size_t StitchTracker::terminal_observe(const scan::ShiftPlan& plan) {
       ++caught;
     }
   }
-  const double dt = secs_since(t0);
-  profile_.terminal_seconds += dt;
-  const TrackerMetrics& m = tracker_metrics();
-  m.terminal_seconds.add_seconds(dt);
   m.terminal_caught.add(caught);
-  obs::trace_complete("tracker.terminal_observe", ts0, dt);
   return caught;
 }
 

@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <limits>
 #include <map>
@@ -42,10 +41,6 @@ void write_double(std::ostream& os, double v) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Pure data operations: available in both normal and VCOMP_OBS=OFF builds.
-// ---------------------------------------------------------------------------
 
 std::string CounterSet::digest() const {
   std::string d;
@@ -133,12 +128,6 @@ void Snapshot::write_json(std::ostream& os, int indent) const {
   if (!first) os << '\n' << in1;
   os << "}\n" << pad << "}";
 }
-
-#ifndef VCOMP_OBS_DISABLED
-
-// ---------------------------------------------------------------------------
-// Live implementation.
-// ---------------------------------------------------------------------------
 
 namespace {
 
@@ -324,19 +313,7 @@ void ensure_slot(Deque& d, std::uint32_t slot) {
 
 namespace detail {
 
-std::atomic<int> g_metrics_state{0};
-
-bool enabled_slow() {
-  const char* env = std::getenv("VCOMP_OBS");
-  const bool off = env != nullptr &&
-                   (std::string_view(env) == "0" ||
-                    std::string_view(env) == "off" ||
-                    std::string_view(env) == "OFF");
-  int expected = 0;
-  g_metrics_state.compare_exchange_strong(expected, off ? 2 : 1,
-                                          std::memory_order_relaxed);
-  return g_metrics_state.load(std::memory_order_relaxed) == 1;
-}
+std::atomic<bool> g_metrics_on{true};
 
 void counter_add(std::uint32_t slot, std::uint64_t n) {
   ThreadSink& sink = local_sink();
@@ -372,7 +349,7 @@ void timer_add(std::uint32_t slot, double seconds) {
 bool metrics_enabled() { return detail::enabled(); }
 
 void set_metrics_enabled(bool on) {
-  detail::g_metrics_state.store(on ? 1 : 2, std::memory_order_relaxed);
+  detail::g_metrics_on.store(on, std::memory_order_relaxed);
 }
 
 Registry::Registry() = default;
@@ -544,37 +521,6 @@ void Registry::end_scope(std::uint64_t token) {
   merge_into(s.retired, it->second);
   s.scoped_retired.erase(it);
 }
-
-#else  // VCOMP_OBS_DISABLED
-
-// ---------------------------------------------------------------------------
-// Compile-time-disabled build: the registry still exists (so callers link)
-// but hands out inert handles and reports nothing.
-// ---------------------------------------------------------------------------
-
-bool metrics_enabled() { return false; }
-void set_metrics_enabled(bool) {}
-
-Registry::Registry() = default;
-
-Registry& Registry::instance() {
-  static Registry* r = new Registry;
-  return *r;
-}
-
-Counter Registry::counter(std::string_view) { return Counter{}; }
-Gauge Registry::gauge(std::string_view) { return Gauge{}; }
-Histogram Registry::histogram(std::string_view) { return Histogram{}; }
-Timer Registry::timer(std::string_view) { return Timer{}; }
-
-Snapshot Registry::snapshot() const { return Snapshot{}; }
-void Registry::reset() {}
-
-void Registry::begin_scope(std::uint64_t) {}
-Snapshot Registry::snapshot_scope(std::uint64_t) const { return Snapshot{}; }
-void Registry::end_scope(std::uint64_t) {}
-
-#endif  // VCOMP_OBS_DISABLED
 
 CounterSet scoped_counters(const std::function<void()>& body,
                            const std::atomic<std::size_t>* cap) {

@@ -12,11 +12,7 @@
 
 namespace vcomp::obs {
 
-#ifndef VCOMP_OBS_DISABLED
-
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 struct TraceEvent {
   const char* name;
@@ -28,10 +24,16 @@ struct TraceEvent {
   std::uint64_t scope;
 };
 
+std::int64_t now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 struct TraceState {
   std::mutex m;
   std::vector<TraceEvent> events;
-  Clock::time_point epoch = Clock::now();
+  std::int64_t epoch_ns = now_ns();
   std::atomic<int> next_tid{0};
 };
 
@@ -47,18 +49,6 @@ int thread_tid() {
   thread_local const int tid =
       tstate().next_tid.fetch_add(1, std::memory_order_relaxed);
   return tid;
-}
-
-double now_us() {
-  return std::chrono::duration<double, std::micro>(Clock::now() -
-                                                   tstate().epoch)
-      .count();
-}
-
-long long now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             Clock::now().time_since_epoch())
-      .count();
 }
 
 void write_escaped(std::ostream& os, const char* s) {
@@ -99,17 +89,6 @@ void clear_trace() {
   t.events.clear();
 }
 
-double trace_now_us() { return trace_enabled() ? now_us() : 0.0; }
-
-void trace_complete(const char* name, double start_us, double dur_seconds) {
-  if (!trace_enabled()) return;
-  TraceState& t = tstate();
-  const TraceEvent ev{name, start_us, dur_seconds * 1e6, thread_tid(),
-                      util::task_token()};
-  const std::lock_guard<std::mutex> lk(t.m);
-  t.events.push_back(ev);
-}
-
 void write_chrome_trace(std::ostream& os) {
   std::vector<TraceEvent> events;
   {
@@ -138,59 +117,25 @@ void write_chrome_trace(std::ostream& os) {
   os << (first ? "]}" : "\n]}") << '\n';
 }
 
-Span::Span(const char* name, Timer timer, bool has_timer)
+Span::Span(const char* name, std::optional<Timer> timer, double* seconds)
     : name_(name),
       timer_(timer),
-      has_timer_(has_timer),
-      active_(false),
-      start_us_(-1.0),
-      start_ns_(0) {
-  const bool want_trace = trace_enabled();
-  const bool want_timer = has_timer_ && metrics_enabled();
-  if (want_trace || want_timer) {
-    active_ = true;
-    start_ns_ = now_ns();
-    if (want_trace) start_us_ = now_us();
-  }
-}
+      seconds_(seconds),
+      traced_(trace_enabled()),
+      start_ns_(now_ns()) {}
 
 Span::~Span() {
-  if (!active_) return;
-  const double dur_seconds =
-      static_cast<double>(now_ns() - start_ns_) * 1e-9;
-  if (has_timer_) timer_.add_seconds(dur_seconds);
-  if (start_us_ >= 0.0) trace_complete(name_, start_us_, dur_seconds);
+  const std::int64_t end_ns = now_ns();
+  const double dur_seconds = static_cast<double>(end_ns - start_ns_) * 1e-9;
+  if (timer_) timer_->add_seconds(dur_seconds);
+  if (seconds_ != nullptr) *seconds_ += dur_seconds;
+  if (!traced_) return;
+  TraceState& t = tstate();
+  const TraceEvent ev{name_,
+                      static_cast<double>(start_ns_ - t.epoch_ns) * 1e-3,
+                      dur_seconds * 1e6, thread_tid(), util::task_token()};
+  const std::lock_guard<std::mutex> lk(t.m);
+  t.events.push_back(ev);
 }
-
-double Span::elapsed_seconds() const {
-  if (!active_) return 0.0;
-  return static_cast<double>(now_ns() - start_ns_) * 1e-9;
-}
-
-#else  // VCOMP_OBS_DISABLED
-
-bool trace_enabled() { return false; }
-void set_trace_enabled(bool) {}
-void clear_trace() {}
-double trace_now_us() { return 0.0; }
-void trace_complete(const char*, double, double) {}
-
-void write_chrome_trace(std::ostream& os) {
-  os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": []}\n";
-}
-
-Span::Span(const char* name, Timer timer, bool has_timer)
-    : name_(name),
-      timer_(timer),
-      has_timer_(has_timer),
-      active_(false),
-      start_us_(-1.0),
-      start_ns_(0) {}
-
-Span::~Span() = default;
-
-double Span::elapsed_seconds() const { return 0.0; }
-
-#endif  // VCOMP_OBS_DISABLED
 
 }  // namespace vcomp::obs

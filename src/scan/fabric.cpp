@@ -1,7 +1,6 @@
 #include "vcomp/scan/fabric.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 
 #include "vcomp/util/assert.hpp"
@@ -35,16 +34,6 @@ bool partition_from_string(const std::string& s, PartitionPolicy& out) {
     return true;
   }
   return false;
-}
-
-PartitionPolicy partition_from_env() {
-  const char* e = std::getenv("VCOMP_PARTITION");
-  if (e == nullptr || *e == '\0') return PartitionPolicy::RoundRobin;
-  PartitionPolicy p = PartitionPolicy::RoundRobin;
-  VCOMP_REQUIRE(partition_from_string(e, p),
-                std::string("VCOMP_PARTITION names no partition policy: ") +
-                    e);
-  return p;
 }
 
 Fabric::Fabric(const netlist::Netlist& nl, std::size_t num_chains,

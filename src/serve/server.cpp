@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <utility>
 
@@ -24,18 +23,9 @@ std::string event_error(const std::string& id, const std::string& message) {
 
 }  // namespace
 
-std::size_t resolve_max_active_jobs(std::size_t requested) {
-  if (requested > 0) return requested;
-  if (const char* e = std::getenv("VCOMP_SERVE_THREADS")) {
-    const unsigned long v = std::strtoul(e, nullptr, 10);
-    if (v > 0) return v;
-  }
-  return 2;
-}
-
 Server::Server(const ServeOptions& options)
     : registry_(options.registry_budget),
-      max_active_(resolve_max_active_jobs(options.max_active_jobs)),
+      max_active_(options.max_active_jobs > 0 ? options.max_active_jobs : 2),
       progress_every_(options.progress_every) {}
 
 Server::~Server() { drain(); }

@@ -23,13 +23,6 @@
 namespace vcomp::core {
 namespace {
 
-#ifdef VCOMP_OBS_DISABLED
-#define SKIP_WHEN_COMPILED_OUT() \
-  GTEST_SKIP() << "vcomp::obs compiled out (VCOMP_OBS=OFF)"
-#else
-#define SKIP_WHEN_COMPILED_OUT() (void)0
-#endif
-
 /// The tracker_parallel_test random walk on s444, run against a clean
 /// registry; returns the deterministic slice of the global snapshot.
 obs::CounterSet walk_snapshot(std::size_t threads) {
@@ -65,7 +58,6 @@ obs::CounterSet walk_snapshot(std::size_t threads) {
 }
 
 TEST(MetricsDeterminism, TrackerWalkSnapshotThreadCountInvariant) {
-  SKIP_WHEN_COMPILED_OUT();
   obs::set_metrics_enabled(true);
   const obs::CounterSet one = walk_snapshot(1);
   const obs::CounterSet four = walk_snapshot(4);
@@ -85,7 +77,6 @@ TEST(MetricsDeterminism, TrackerWalkSnapshotThreadCountInvariant) {
 }
 
 TEST(MetricsDeterminism, FullStitchedRunSnapshotThreadCountInvariant) {
-  SKIP_WHEN_COMPILED_OUT();
   obs::set_metrics_enabled(true);
   // End to end: netgen, baseline ATPG (PODEM + fault dropping), the
   // stitched engine and its tracker, all against a clean registry.

@@ -1,25 +1,26 @@
 #!/usr/bin/env python3
-"""Soft bench-regression gate.
+"""Bench-regression gate.
 
 Compares a freshly produced bench JSON (bench_tracker / bench_table2_shift,
-written via VCOMP_BENCH_JSON) against the committed baseline and flags
-timing/throughput drift beyond a tolerance.  Rows are matched by their
-identity keys (circuit, and config where present), so a --quick run is
-compared only on the rows it actually produced; rows whose "cycles"
-field differs from the baseline (a different workload) are skipped
-outright.
+written via VCOMP_BENCH_JSON) against the committed baseline.  Rows are
+matched by their identity keys (circuit, and config where present), so a
+--quick run is compared only on the rows it actually produced; rows whose
+"cycles" field differs from the baseline (a different workload) are
+skipped outright.
 
-Per-row "counters" objects (the obs work counters embedded by the bench
-binaries) are exempt from the tolerance: they are deterministic by
-contract, so any mismatch at all is flagged.  Timings and rates keep the
-±tolerance treatment.
+Two kinds of field:
 
-Intended as a *soft* gate: CI shared runners are noisy, so regressions are
-emitted as GitHub warning annotations and the exit code stays 0 unless
---strict is given.
+* timings -- "seconds", "*_seconds", "*_per_sec" and "speedup" -- drift
+  with the machine, so they are judged with a +/-tolerance and reported as
+  soft warnings (CI shared runners are noisy); the exit code stays 0
+  unless --strict is given;
+* everything else -- the paper numbers (m, t, tv, ex, paper_best_m), the
+  workload shape (gates, lanes, ...), the per-row "counters" objects and
+  the serve bench's canonical result "row" -- is deterministic by
+  contract, so any mismatch at all is an error and the exit code is 1.
 
 Usage:
-  check_bench.py --fresh fresh.json --baseline BENCH_tracker.json \
+  check_bench.py --fresh fresh.json --baseline BENCH_tracker.json \\
                  [--tolerance 0.25] [--strict]
 """
 
@@ -28,11 +29,14 @@ import json
 import os
 import sys
 
-# Per-row fields judged with the tolerance; direction says which way is bad.
-TIME_FIELDS = ("seconds", "shift_seconds", "total_seconds")
 RATE_SUFFIX = "_per_sec"
 # Timings below this are scheduler-noise-dominated; never gate them.
 MIN_GATED_SECONDS = 1e-3
+
+
+def is_timing(field):
+    return (field == "seconds" or field.endswith("_seconds")
+            or field.endswith(RATE_SUFFIX) or field == "speedup")
 
 
 def load_rows(doc):
@@ -57,13 +61,29 @@ def annotate(kind, message):
         print(f"{kind}: {message}")
 
 
+def timing_regression(label, field, fval, bval, tol):
+    """A soft warning when a timing moved the wrong way beyond tol."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in (fval, bval)) or bval == 0:
+        return None
+    ratio = fval / bval
+    if field.endswith(RATE_SUFFIX) or field == "speedup":
+        if ratio < 1 - tol:
+            return (f"{label} {field}: {fval:.4g} vs baseline {bval:.4g} "
+                    f"(-{(1 - ratio) * 100:.0f}%)")
+    elif bval >= MIN_GATED_SECONDS and ratio > 1 + tol:
+        return (f"{label} {field}: {fval:.4g}s vs baseline {bval:.4g}s "
+                f"(+{(ratio - 1) * 100:.0f}%)")
+    return None
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--fresh", required=True)
     ap.add_argument("--baseline", required=True)
     ap.add_argument("--tolerance", type=float, default=0.25)
     ap.add_argument("--strict", action="store_true",
-                    help="exit nonzero on regressions")
+                    help="also exit nonzero on timing regressions")
     ap.add_argument("--require-learned-win", action="store_true",
                     help="hard gate (exit 1): the baseline must contain at "
                          "least one row whose m beats its paper_best_m — "
@@ -90,6 +110,7 @@ def main():
 
     tol = args.tolerance
     regressions = []
+    mismatches = []
     for key in shared:
         frow, brow = fresh[key], base[key]
         label = "/".join(str(k) for k in key)
@@ -101,35 +122,15 @@ def main():
                   f"baseline {brow.get('cycles')}; row skipped "
                   f"(workload mismatch)")
             continue
-        for field, bval in brow.items():
-            if not isinstance(bval, (int, float)) or isinstance(bval, bool):
-                continue
-            fval = frow.get(field)
-            if not isinstance(fval, (int, float)) or bval == 0:
-                continue
-            ratio = fval / bval
-            if field in TIME_FIELDS and bval < MIN_GATED_SECONDS:
-                continue
-            if field in TIME_FIELDS and ratio > 1 + tol:
-                regressions.append(
-                    f"{label} {field}: {fval:.4g}s vs baseline "
-                    f"{bval:.4g}s (+{(ratio - 1) * 100:.0f}%)")
-            elif field.endswith(RATE_SUFFIX) and ratio < 1 - tol:
-                regressions.append(
-                    f"{label} {field}: {fval:.4g} vs baseline "
-                    f"{bval:.4g} (-{(1 - ratio) * 100:.0f}%)")
-        # The serve bench's canonical result row is a determinism
-        # artifact, not a timing: byte-identical across machines, thread
-        # counts, concurrency and arrival order, so it is compared
-        # literally (any drift is a behavior change).
-        brow_str, frow_str = brow.get("row"), frow.get("row")
-        if isinstance(brow_str, str) and isinstance(frow_str, str) \
-                and brow_str != frow_str:
-            regressions.append(
-                f"{label} row: result row differs from baseline "
-                f"(byte comparison; determinism contract)")
-        # Work counters are exact: byte-identical across machines and
-        # thread counts, so any drift is a behavior change, not noise.
+        for field in sorted((set(brow) | set(frow)) - {"counters"}):
+            bval, fval = brow.get(field), frow.get(field)
+            if is_timing(field):
+                r = timing_regression(label, field, fval, bval, tol)
+                if r:
+                    regressions.append(r)
+            elif fval != bval:
+                mismatches.append(f"{label} {field}: {fval!r} vs baseline "
+                                  f"{bval!r} (exact match required)")
         # A counter present on only one side (an older baseline predating
         # the counter, or a retired one) is treated as an implicit zero:
         # flagged only when the side that has it is nonzero.
@@ -137,25 +138,21 @@ def main():
         if isinstance(bcounters, dict):
             fcounters = frow.get("counters") or {}
             for name in sorted(set(bcounters) | set(fcounters)):
-                bval, fval = bcounters.get(name), fcounters.get(name)
-                if bval is None or fval is None:
-                    present = bval if fval is None else fval
-                    if present:
-                        side = "baseline" if fval is None else "fresh run"
-                        regressions.append(
-                            f"{label} counters.{name}: only in {side} "
-                            f"with value {present} (expected 0 or both "
-                            f"sides)")
-                elif bval != fval:
-                    regressions.append(
+                bval = bcounters.get(name, 0)
+                fval = fcounters.get(name, 0)
+                if bval != fval:
+                    mismatches.append(
                         f"{label} counters.{name}: {fval} vs baseline "
                         f"{bval} (exact match required)")
 
-    print(f"compared {len(shared)} rows at ±{tol * 100:.0f}% tolerance")
+    print(f"compared {len(shared)} rows: exact fields and counters, "
+          f"timings at ±{tol * 100:.0f}% tolerance")
     for r in regressions:
         annotate("warning", f"bench regression: {r}")
-    if not regressions:
-        print("no regressions beyond tolerance")
+    for m in mismatches:
+        annotate("error", f"bench mismatch: {m}")
+    if not regressions and not mismatches:
+        print("no regressions beyond tolerance, no exact mismatches")
 
     # Learned-schedule win gate: a *hard* requirement on the committed
     # baseline (quick/filtered fresh runs may not carry the winning
@@ -175,6 +172,8 @@ def main():
                      "(learned-schedule acceptance gate)")
             return 1
 
+    if mismatches:
+        return 1
     return 1 if (regressions and args.strict) else 0
 
 

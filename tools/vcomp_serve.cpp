@@ -12,8 +12,7 @@
 //     --port <n>       listen on 127.0.0.1:<n> (0 = ephemeral; the bound
 //                      port is printed as "listening on 127.0.0.1:<p>").
 //                      Default: serve stdin/stdout as a pipe.
-//     --max-jobs <n>   concurrent job limit (default: VCOMP_SERVE_THREADS,
-//                      else 2)
+//     --max-jobs <n>   concurrent job limit (default 2)
 //     --cache <n>      artifact registry budget in circuits (default
 //                      unlimited; LRU eviction, in-flight builds pinned)
 //     --progress <n>   default progress event cadence in cycles (0 = only
