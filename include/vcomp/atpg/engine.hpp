@@ -82,7 +82,7 @@ struct GenResult {
   Cube cube;                      ///< valid when status == Success
   std::uint32_t backtracks = 0;   ///< PODEM backtracks spent in this call
   std::uint64_t conflicts = 0;    ///< CDCL conflicts spent in this call
-  std::uint32_t sat_calls = 0;    ///< SAT solver invocations (0 or 1)
+  std::uint32_t sat_calls = 0;    ///< queries the SAT engine answered (0 or 1)
 };
 
 /// Abstract constrained-ATPG engine.  Implementations hold per-netlist

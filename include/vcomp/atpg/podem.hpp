@@ -16,17 +16,25 @@
 /// fault's output cone — the structures that make PODEM practical on
 /// multi-thousand-gate circuits.
 ///
-/// A call pays per cone, not per gate.  The engine keeps a *pin frame*: the
-/// good machine under the call's pinned cells with every other source at
-/// X, simulated by sim::TernarySim and rebuilt only when the pin values
-/// differ from the previous call's.  Every target of a stitched cycle
+/// A call pays per cone, not per gate.  The engine keeps a PinFrame
+/// (pin_frame.hpp): the good machine under the call's pinned cells with
+/// every other source at X, rebuilt only when the pin values differ from
+/// the previous call's.  Every target of a stitched cycle
 /// (core::StitchEngine, through atpg::Engine and the Race engine) shares
 /// one frame, and so does every unconstrained query of baseline ATPG
-/// (test_set.cpp) and the virtual-scan baseline.  A call evaluates the
-/// faulty machine over the fault's cone only (off the cone it equals the
-/// good one), searches, and on every exit, returned or thrown, undoes its
-/// trail and decisions, so each call starts from exactly the state a
-/// whole-circuit implication would build and returns the same result.
+/// (test_set.cpp) and the virtual-scan baseline.
+///
+/// Each call first asks the frame whether the pins alone block the fault
+/// (PinFrame::proves_untestable).  A proved query returns Untestable with
+/// no decision, backtrack or implication, and counts in podem.calls,
+/// podem.untestable and podem.constrained_untestable like a searched one,
+/// plus atpg.frame_untestable.  The proof is asked only at the root: at a
+/// search node it would prune searches that do find cubes, and so change
+/// those cubes.  Every other call evaluates the faulty machine over the
+/// fault's cone only (off the cone it equals the good one), searches, and
+/// on every exit, returned or thrown, undoes its trail and decisions, so
+/// each call starts from exactly the state a whole-circuit implication
+/// would build and returns the same result.
 ///
 /// A Success result carries a test cube whose unassigned positions are X;
 /// five-valued implication guarantees every completion of the cube detects
@@ -39,9 +47,9 @@
 #include <optional>
 #include <vector>
 
+#include "vcomp/atpg/pin_frame.hpp"
 #include "vcomp/fault/fault.hpp"
 #include "vcomp/sim/eval_graph.hpp"
-#include "vcomp/sim/ternary_sim.hpp"
 #include "vcomp/sim/trit.hpp"
 #include "vcomp/tmeas/scoap.hpp"
 
@@ -51,16 +59,6 @@ namespace vcomp::atpg {
 struct Cube {
   std::vector<sim::Trit> pi;   ///< one per primary input
   std::vector<sim::Trit> ppi;  ///< one per state element (scan cell)
-};
-
-/// Pin a subset of scan cells to fixed values (Trit::X = free).
-struct PpiConstraints {
-  std::vector<sim::Trit> fixed;  ///< empty means "all free"
-
-  bool all_free() const { return fixed.empty(); }
-  sim::Trit at(std::size_t i) const {
-    return fixed.empty() ? sim::Trit::X : fixed[i];
-  }
 };
 
 enum class PodemStatus : std::uint8_t { Success, Untestable, Aborted };
@@ -131,13 +129,10 @@ class Podem {
   std::vector<TrailEntry> trail_;
 
   // Pin frame: between calls assign_ holds exactly the pins, good_ the
-  // frame and bad_ equals good_.  frame_pins_ is the content key (empty
-  // when nothing is pinned); frame_valid_ is false until the first build.
-  sim::TernarySim frame_;
-  std::vector<sim::Trit> frame_pins_;
-  bool frame_valid_ = false;
+  // frame's values and bad_ equals good_.  The frame also owns the
+  // observation mask (PO or DFF data-pin driver).
+  PinFrame frame_;
 
-  std::vector<std::uint8_t> is_obs_;    // gate drives a PO or a DFF data pin
   std::vector<netlist::GateId> cone_;       // comb gates in the fault cone
   std::vector<netlist::GateId> cone_obs_;   // observation gates in the cone
   std::vector<std::uint8_t> in_cone_;

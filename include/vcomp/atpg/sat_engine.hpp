@@ -3,8 +3,12 @@
 /// \file sat_engine.hpp
 /// SAT-backed constrained-ATPG engine: CnfEncoder + CdclSolver.
 ///
-/// Each generate() call encodes the fault's output cone (cnf.hpp) and
-/// solves it (sat.hpp):
+/// Each generate() call first asks its PinFrame (pin_frame.hpp) whether
+/// the pinned cells alone block the fault.  A proved query returns
+/// Untestable with sat_calls = 1 and no conflict, without building a CNF,
+/// and counts in atpg.sat_calls, atpg.sat_untestable and
+/// atpg.frame_untestable.  Every other call encodes the fault's output
+/// cone (cnf.hpp) and solves it (sat.hpp), unchanged:
 ///  * Sat     -> Success, with a cube read off the model's support
 ///               sources (everything outside the support stays X — by
 ///               construction it cannot affect any observation point, so
@@ -18,6 +22,7 @@
 /// downstream fill/stitching treats both engines identically.
 
 #include "vcomp/atpg/engine.hpp"
+#include "vcomp/atpg/pin_frame.hpp"
 #include "vcomp/atpg/sat.hpp"
 
 namespace vcomp::atpg {
@@ -32,7 +37,8 @@ class SatEngine final : public Engine {
                      const PpiConstraints* constraints) override;
   std::string_view name() const override { return "sat"; }
 
-  /// Decision literals of the last underlying solve (determinism test).
+  /// Decision literals and stats of the last solve that ran (a query the
+  /// frame proves runs none; determinism test).
   const std::vector<SatLit>& last_decisions() const {
     return solver_.decision_log();
   }
@@ -42,6 +48,7 @@ class SatEngine final : public Engine {
   sim::EvalGraph::Ref eg_;
   const netlist::Netlist* nl_;
   SatOptions opts_;
+  PinFrame frame_;
   CnfEncoder encoder_;
   CdclSolver solver_;
   Cnf cnf_;

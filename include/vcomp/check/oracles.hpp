@@ -32,7 +32,9 @@
 ///    fault under the reference fault simulator for random completions of
 ///    its X positions, and an Untestable proof from one engine must never
 ///    coexist with a verified cube from the other (Aborted claims
-///    nothing);
+///    nothing); and whenever the pin frame proves a query untestable
+///    without a search, the plain CNF of that query must not be
+///    satisfiable;
 ///  * the tracker oracle — a StitchTracker is driven through the case's
 ///    stitched schedule and its per-cycle CycleStats, final fault states,
 ///    catch cycles and surviving hidden-fabric contents are compared
@@ -83,9 +85,12 @@ std::optional<Failure> check_flush(const Case& c, std::uint64_t flush_seed,
 /// ATPG engine oracle on \p rounds rounds: PODEM vs the CDCL SAT backend
 /// on sampled faults under shared random PPI constraints.  Success cubes
 /// are re-verified against the reference fault simulator; definitive
-/// verdicts must never contradict.  The PODEM engine serves every round,
-/// so its pin frame outlives pin changes; each of its results must equal
-/// (status, cube, backtracks) a freshly built PODEM engine's.
+/// verdicts must never contradict.  The PODEM and SAT engines serve every
+/// round, so their pin frames outlive pin changes; each of their results
+/// must equal (status, cube, backtracks, conflicts) a freshly built
+/// engine's.  Every query atpg::PinFrame::proves_untestable accepts is
+/// re-solved as a plain CnfEncoder + CdclSolver formula with no frame,
+/// which must not be Sat.
 std::optional<Failure> check_atpg(const Case& c, std::uint64_t seed,
                                   std::size_t rounds);
 

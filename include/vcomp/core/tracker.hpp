@@ -77,7 +77,7 @@ struct PhaseProfile {
   double podem_seconds = 0;     ///< constrained PODEM cube search
   double scoring_seconds = 0;   ///< MostFaults completion scoring
   double shift_seconds = 0;     ///< tracker scan-shift + hidden compare
-  double classify_seconds = 0;  ///< tracker uncaught-fault classification
+  double classify_seconds = 0;  ///< fault-free apply/capture + classification
   double advance_seconds = 0;   ///< tracker 512-lane hidden advance
   double terminal_seconds = 0;  ///< terminal observes + ex-phase dropping
   double total_seconds = 0;     ///< whole StitchEngine::run call

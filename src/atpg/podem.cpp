@@ -1,7 +1,6 @@
 #include "vcomp/atpg/podem.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "vcomp/obs/metrics.hpp"
 #include "vcomp/util/assert.hpp"
@@ -31,6 +30,9 @@ struct PodemMetrics {
   // stitching constraints extract from ATPG.
   obs::Counter constrained_untestable =
       obs::counter("podem.constrained_untestable");
+  // Queries the pin frame proved Untestable before any search (shared with
+  // the SAT engine).
+  obs::Counter frame_untestable = obs::counter("atpg.frame_untestable");
   obs::Histogram backtracks_per_call =
       obs::histogram("podem.backtracks_per_call");
 };
@@ -78,10 +80,6 @@ Podem::Podem(sim::EvalGraph::Ref graph, const tmeas::Scoap& scoap)
   assign_.assign(n, Trit::X);
   good_.assign(n, Trit::X);
   bad_.assign(n, Trit::X);
-  is_obs_.assign(n, 0);
-  for (GateId g : eg_->outputs()) is_obs_[g] = 1;
-  for (std::size_t i = 0; i < eg_->num_dffs(); ++i)
-    is_obs_[eg_->dff_input(i)] = 1;
   in_cone_.assign(n, 0);
   buckets_.resize(eg_->num_levels());
   queued_.assign(n, 0);
@@ -93,29 +91,13 @@ Podem::Podem(const netlist::Netlist& nl, const tmeas::Scoap& scoap)
     : Podem(sim::EvalGraph::compile(nl), scoap) {}
 
 void Podem::load_frame(const PpiConstraints* constraints) {
-  static const std::vector<Trit> kNoPins;
-  const std::vector<Trit>& pins = constraints ? constraints->fixed : kNoPins;
-  // Checked before the frame is touched: a rejected call leaves the engine
-  // exactly as the previous call left it.
-  VCOMP_REQUIRE(pins.empty() || pins.size() == nl_->num_dffs(),
-                "constraint vector size must equal the number of DFFs");
-  if (frame_valid_ && pins.size() == frame_pins_.size() &&
-      (pins.empty() ||
-       std::memcmp(pins.data(), frame_pins_.data(), pins.size()) == 0))
-    return;
-
-  frame_valid_ = false;
-  frame_pins_ = pins;
-  std::fill(assign_.begin(), assign_.end(), Trit::X);
-  frame_.clear();
-  for (std::size_t i = 0; i < pins.size(); ++i) {
-    assign_[nl_->dffs()[i]] = pins[i];
-    frame_.set_state(i, pins[i]);
-  }
-  frame_.eval();
+  // The frame checks the size before it changes, so a rejected call leaves
+  // the engine exactly as the previous call left it.
+  if (!frame_.load(constraints)) return;
   good_.assign(frame_.values().begin(), frame_.values().end());
   bad_ = good_;
-  frame_valid_ = true;
+  std::fill(assign_.begin(), assign_.end(), Trit::X);
+  for (GateId g : nl_->dffs()) assign_[g] = good_[g];  // the pins
 }
 
 void Podem::compute_cone(const Fault& f) {
@@ -132,7 +114,7 @@ void Podem::compute_cone(const Fault& f) {
     if (in_cone_[g]) return;
     in_cone_[g] = 1;
     cone_.push_back(g);
-    if (is_obs_[g]) cone_obs_.push_back(g);
+    if (frame_.is_obs(g)) cone_obs_.push_back(g);
     work.push_back(g);
   };
   if (f.is_stem()) {
@@ -143,7 +125,7 @@ void Podem::compute_cone(const Fault& f) {
       // observable only through its sinks (it is never a PO in this model,
       // but keep the stem observable if marked).
       for (GateId s : eg_->fanout(f.gate)) push(s);
-      if (is_obs_[f.gate]) cone_obs_.push_back(f.gate);
+      if (frame_.is_obs(f.gate)) cone_obs_.push_back(f.gate);
     }
   } else if (!is_dff_pin_fault(*nl_, f)) {
     push(f.gate);
@@ -401,7 +383,7 @@ bool Podem::xpath_exists(const Fault& f) {
       }
       set_memo(u, 0);
       visited.push_back(u);
-      if (is_obs_[u] && unresolved(u)) {
+      if (frame_.is_obs(u) && unresolved(u)) {
         found = true;
         break;
       }
@@ -433,7 +415,7 @@ bool Podem::xpath_exists(const Fault& f) {
   auto check_line = [&](GateId g) -> bool {
     if (!(definite(good_[g]) && definite(bad_[g]) && good_[g] != bad_[g]))
       return false;
-    if (is_obs_[g]) return true;  // would have been `detected`
+    if (frame_.is_obs(g)) return true;  // would have been `detected`
     for (GateId s : eg_->fanout(g)) {
       const auto st = eg_->type(s);
       if (st == GateType::Dff || st == GateType::Input) continue;
@@ -471,9 +453,6 @@ PodemResult Podem::generate(const Fault& f, const PpiConstraints* constraints,
   constraints_ = constraints;
   VCOMP_DASSERT(trail_.empty() && stack_.empty(),
                 "a call must start from the bare pin frame");
-  const FrameRestore restore(*this, f);
-  compute_cone(f);
-  load_fault(f);
   imply_events_ = 0;
 
   PodemResult result;
@@ -501,6 +480,18 @@ PodemResult Podem::generate(const Fault& f, const PpiConstraints* constraints,
     m.backtracks_per_call.record(r.backtracks);
     return r;
   };
+
+  // The pins alone block the fault: Untestable without touching the
+  // search state.  Asked at the root only (see podem.hpp).
+  if (frame_.proves_untestable(f)) {
+    podem_metrics().frame_untestable.inc();
+    result.status = PodemStatus::Untestable;
+    return finish(result);
+  }
+
+  const FrameRestore restore(*this, f);
+  compute_cone(f);
+  load_fault(f);
 
   auto make_cube = [&]() {
     Cube cube;

@@ -24,7 +24,12 @@ void CdclSolver::reset(std::uint32_t num_vars) {
   ok_ = true;
   arena_.clear();
   clauses_.clear();
-  watches_.assign(std::size_t{2} * num_vars, {});
+  // Clear the watch lists in place, so each keeps its capacity for the
+  // next formula instead of being freed and reallocated on every query.
+  // Lists past the 2n literals of this formula are never indexed.
+  const std::size_t num_lits = std::size_t{2} * num_vars;
+  if (watches_.size() < num_lits) watches_.resize(num_lits);
+  for (std::size_t l = 0; l < num_lits; ++l) watches_[l].clear();
   value_.assign(num_vars, kUndef);
   phase_.assign(num_vars, 0);
   level_.assign(num_vars, 0);

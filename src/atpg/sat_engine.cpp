@@ -14,6 +14,9 @@ struct SatEngineMetrics {
   obs::Counter success = obs::counter("atpg.sat_success");
   obs::Counter untestable = obs::counter("atpg.sat_untestable");
   obs::Counter aborted = obs::counter("atpg.sat_aborted");
+  // Queries the pin frame proved Untestable before any encoding (shared
+  // with PODEM).
+  obs::Counter frame_untestable = obs::counter("atpg.frame_untestable");
 };
 
 const SatEngineMetrics& sat_metrics() {
@@ -27,10 +30,23 @@ SatEngine::SatEngine(sim::EvalGraph::Ref graph, const SatOptions& options)
     : eg_(std::move(graph)),
       nl_(&eg_->netlist()),
       opts_(options),
+      frame_(eg_),
       encoder_(eg_) {}
 
 GenResult SatEngine::generate(const fault::Fault& f,
                               const PpiConstraints* constraints) {
+  frame_.load(constraints);
+  GenResult res;
+  res.sat_calls = 1;
+  const SatEngineMetrics& m = sat_metrics();
+  m.calls.inc();
+  if (frame_.proves_untestable(f)) {
+    res.status = PodemStatus::Untestable;
+    m.untestable.inc();
+    m.frame_untestable.inc();
+    return res;
+  }
+
   encoder_.encode(f, constraints, cnf_);
   solver_.reset(cnf_.num_vars);
   solver_.load(cnf_);
@@ -39,12 +55,7 @@ GenResult SatEngine::generate(const fault::Fault& f,
   sopts.max_conflicts = opts_.max_conflicts;
   const SatResult sat = solver_.solve(sopts);
 
-  GenResult res;
-  res.sat_calls = 1;
   res.conflicts = solver_.stats().conflicts;
-
-  const SatEngineMetrics& m = sat_metrics();
-  m.calls.inc();
   m.conflicts.add(res.conflicts);
 
   switch (sat) {

@@ -6,6 +6,8 @@
 #include <unordered_map>
 
 #include "vcomp/atpg/engine.hpp"
+#include "vcomp/atpg/pin_frame.hpp"
+#include "vcomp/atpg/sat.hpp"
 #include "vcomp/check/reference.hpp"
 #include "vcomp/core/selection.hpp"
 #include "vcomp/core/tracker.hpp"
@@ -804,23 +806,44 @@ std::optional<Failure> check_atpg(const Case& c, std::uint64_t seed,
   const tmeas::Scoap scoap(*graph);
   const auto podem = atpg::make_engine(atpg::EngineKind::Podem, graph, scoap);
   const auto sat = atpg::make_engine(atpg::EngineKind::Sat, graph, scoap);
+  // The engines' shortcut, checked against the plain CNF with no frame.
+  atpg::PinFrame frame(graph);
+  atpg::CnfEncoder encoder(graph);
+  atpg::Cnf cnf;
+  atpg::CdclSolver solver;
+  const auto same = [](const atpg::GenResult& a, const atpg::GenResult& b) {
+    return a.status == b.status && a.backtracks == b.backtracks &&
+           a.conflicts == b.conflicts && a.cube.pi == b.cube.pi &&
+           a.cube.ppi == b.cube.ppi;
+  };
 
   Rng rng(seed);
   for (std::size_t round = 0; round < rounds; ++round) {
     const auto cons = random_constraints(nl, rng);
+    frame.load(&cons);
     const auto sample = sample_faults(c.faults.size(), rng, kAtpgFaultSample);
     for (std::uint32_t fi : sample) {
       const Fault& f = c.faults[fi];
       const auto rp = podem->generate(f, &cons);
       const auto rs = sat->generate(f, &cons);
-      const auto fresh =
-          atpg::make_engine(atpg::EngineKind::Podem, graph, scoap)
-              ->generate(f, &cons);
-      if (rp.status != fresh.status || rp.backtracks != fresh.backtracks ||
-          rp.cube.pi != fresh.cube.pi || rp.cube.ppi != fresh.cube.ppi)
-        return fail("atpg", "podem reusing its pin frame diverges from a "
-                            "fresh engine for " +
-                                fault::fault_name(nl, f));
+      for (const auto kind : {atpg::EngineKind::Podem, atpg::EngineKind::Sat}) {
+        const auto fresh =
+            atpg::make_engine(kind, graph, scoap)->generate(f, &cons);
+        if (!same(kind == atpg::EngineKind::Podem ? rp : rs, fresh))
+          return fail("atpg", std::string(atpg::to_string(kind)) +
+                                  " reusing its pin frame diverges from a "
+                                  "fresh engine for " +
+                                  fault::fault_name(nl, f));
+      }
+      if (frame.proves_untestable(f)) {
+        encoder.encode(f, &cons, cnf);
+        solver.reset(cnf.num_vars);
+        solver.load(cnf);
+        if (solver.solve() == atpg::SatResult::Sat)
+          return fail("atpg", "the pin frame proves untestable but the "
+                              "plain CNF is satisfiable for " +
+                                  fault::fault_name(nl, f));
+      }
       if (rp.status == atpg::PodemStatus::Success)
         if (auto err = atpg_cube_error(nl, f, rp.cube, cons, rng))
           return fail("atpg",

@@ -200,23 +200,26 @@ CycleStats StitchTracker::apply(const TestVector& v,
   }
   ++cycle_;
 
-  // Apply & capture the fault-free machine.
-  state_.flat_bits(pre_capture_);
-  load_stimulus(*sim0_, v);
-  sim0_->commit_good();
-  read_po_bits();
-  read_capture_bits();
-  state_.capture(ppo_ff_, capture_);
-
-  // Classify freshly differentiated uncaught faults.  Their machines held
-  // the same chain content as the fault-free one, so they saw exactly v.
-  // Sharded over the thread pool: each shard drives a private DiffSim and
-  // writes its slots of the verdict buffer; the merge below applies state
-  // transitions serially in fault-index order, so the resulting CycleStats
-  // and FaultSets are identical for every thread count.
   {
+    // The classify span also times the fault-free apply and capture: shard
+    // 0 classifies on that same simulation.
     const obs::Span span("tracker.classify", m.classify_seconds,
                          profile_.classify_seconds);
+    // Apply & capture the fault-free machine.
+    state_.flat_bits(pre_capture_);
+    load_stimulus(*sim0_, v);
+    sim0_->commit_good();
+    read_po_bits();
+    read_capture_bits();
+    state_.capture(ppo_ff_, capture_);
+
+    // Classify freshly differentiated uncaught faults.  Their machines
+    // held the same chain content as the fault-free one, so they saw
+    // exactly v.  Sharded over the thread pool: each shard drives a
+    // private DiffSim and writes its slots of the verdict buffer; the
+    // merge below applies state transitions serially in fault-index order,
+    // so the resulting CycleStats and FaultSets are identical for every
+    // thread count.
     classify_.clear();
     for (std::size_t i = 0; i < faults_->size(); ++i)
       if (track_[i] && sets_.state(i) == FaultState::Uncaught)

@@ -13,6 +13,7 @@
 #include <tuple>
 
 #include "vcomp/atpg/podem.hpp"
+#include "vcomp/atpg/sat_engine.hpp"
 #include "vcomp/fault/collapse.hpp"
 #include "vcomp/fault/fault_sim.hpp"
 #include "vcomp/netgen/netgen.hpp"
@@ -153,11 +154,13 @@ TEST(ConstrainedPodemEdge, ReusedPinFrameMatchesFreshEngine) {
   // from scratch.  Through pin changes, unpinned queries, an all-X vector
   // and a rejected wrong-size vector, both must give every fault the same
   // result, so the frame can never leak one call's state into the next.
+  // The same holds for the SAT engine's frame.
   auto nl = netgen::generate("s444");
   auto cf = fault::collapsed_fault_list(nl);
   const auto graph = sim::EvalGraph::compile(nl);
   const tmeas::Scoap scoap(*graph);
   Podem shared(graph, scoap);
+  SatEngine shared_sat(graph);
   Rng rng(0x5eed);
 
   const std::size_t L = nl.num_dffs();
@@ -183,6 +186,7 @@ TEST(ConstrainedPodemEdge, ReusedPinFrameMatchesFreshEngine) {
     for (const auto& f : cf.faults()) {
       if (cons == &wrong_size) {
         EXPECT_THROW(shared.generate(f, cons), ContractError);
+        EXPECT_THROW(shared_sat.generate(f, cons), ContractError);
         continue;
       }
       Podem fresh(graph, scoap);
@@ -196,6 +200,18 @@ TEST(ConstrainedPodemEdge, ReusedPinFrameMatchesFreshEngine) {
           << "step " << step << " " << fault_name(nl, f);
       ASSERT_EQ(got.cube.ppi, want.cube.ppi)
           << "step " << step << " " << fault_name(nl, f);
+
+      SatEngine fresh_sat(graph);
+      const GenResult got_sat = shared_sat.generate(f, cons);
+      const GenResult want_sat = fresh_sat.generate(f, cons);
+      ASSERT_EQ(got_sat.status, want_sat.status)
+          << "sat step " << step << " " << fault_name(nl, f);
+      ASSERT_EQ(got_sat.conflicts, want_sat.conflicts)
+          << "sat step " << step << " " << fault_name(nl, f);
+      ASSERT_EQ(got_sat.cube.pi, want_sat.cube.pi)
+          << "sat step " << step << " " << fault_name(nl, f);
+      ASSERT_EQ(got_sat.cube.ppi, want_sat.cube.ppi)
+          << "sat step " << step << " " << fault_name(nl, f);
     }
   }
 }
