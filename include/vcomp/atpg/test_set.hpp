@@ -10,11 +10,13 @@
 /// downstream stitching experiments use as the ground-truth detectable set.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "vcomp/atpg/fill.hpp"
 #include "vcomp/atpg/podem.hpp"
 #include "vcomp/fault/collapse.hpp"
+#include "vcomp/fault/fault_sim.hpp"
 
 namespace vcomp::atpg {
 
@@ -43,6 +45,22 @@ struct TestSetResult {
     return det == 0 ? 1.0 : double(num_detected) / double(det);
   }
 };
+
+/// first_detections() entry of a fault no vector of the walk detects.
+inline constexpr std::size_t kNoDetection = ~std::size_t{0};
+
+/// Fault dropping over an ordered vector list under full observation:
+/// entry n is the position in \p walk of the first vector that detects
+/// \p faults[n] (kNoDetection if none does).  Runs 64 vectors per
+/// pattern-lane DiffSim pass and stops once every fault is detected, so a
+/// fault is simulated once per pass it is still open in.  Keeping the
+/// vectors that are some fault's first detector is the one-vector-at-a-
+/// time dropping loop's result: reverse-order compaction and the stitch
+/// engine's ex phase both do.  The faults and vectors are those of the
+/// graph \p sims runs on.
+std::vector<std::size_t> first_detections(
+    fault::DiffSimShards& sims, std::span<const TestVector* const> walk,
+    std::span<const fault::Fault> faults);
 
 /// Generates a compacted full-scan test set for the collapsed faults.
 TestSetResult generate_full_scan_tests(const netlist::Netlist& nl,

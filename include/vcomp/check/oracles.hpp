@@ -10,9 +10,11 @@
 ///    state pattern and its own fault in every lane;
 ///  * compaction / dispatch oracles — the same scenario is evaluated on
 ///    the compacted and uncompacted EvalGraph (WordSim values through the
-///    id remap, DiffSim::simulate vs simulate_mapped, BlockLaneSim with
-///    plain vs mapped faults) and through every available SIMD dispatch
-///    width (a fault-free BlockLaneSim, scalar vs AVX2 vs AVX-512); on top,
+///    id remap, DiffSim::simulate vs simulate_mapped, DiffSim's 64-fault
+///    lane pass vs each fault's simulate_mapped under a broadcast and a
+///    per-lane stimulus, BlockLaneSim with plain vs mapped faults) and
+///    through every available SIMD dispatch width (a fault-free
+///    BlockLaneSim, scalar vs AVX2 vs AVX-512); on top,
 ///    the full stitched tracker is driven twice — on the compacted model
 ///    and on the identity model (CompactModel with enable = false) — and
 ///    the two digests (CycleStats, fault states, work counters) must be

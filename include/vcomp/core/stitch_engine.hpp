@@ -210,7 +210,6 @@ class StitchEngine {
                                     bool first_vector, PhaseProfile& prof);
   /// The body of run(), under its stitch.run span.
   void run_into(StitchResult& res);
-  void load_scoring_sim(fault::DiffSim& sim, const atpg::TestVector& v);
 
   const netlist::Netlist* nl_;
   const fault::CollapsedFaults* faults_;
@@ -233,7 +232,6 @@ class StitchEngine {
   std::vector<std::uint8_t> observed_pos_;        // flat-position visibility
   std::vector<std::size_t> scored_;               // sampled uncaught faults
   std::vector<std::vector<std::uint32_t>> shard_scores_;
-  std::vector<std::uint8_t> drop_hit_;            // ex-phase verdict buffer
 
   std::vector<std::size_t> order_;       // target walk order
   std::vector<std::uint8_t> targetable_; // baseline-detected faults

@@ -28,13 +28,14 @@
 /// reproduce Table 1 event by event.
 ///
 /// The per-cycle sweep over every uncaught fault is the hottest loop of
-/// the whole system, so apply() runs it sharded over the process thread
-/// pool: each shard drives a private DiffSim and records per-fault
-/// verdicts into a preallocated buffer, and a serial merge applies the
-/// state transitions in fault-index order.  Per-fault verdicts are pure
-/// functions of the fault index, so every thread count produces
-/// byte-identical CycleStats, FaultSets and schedules (checked by
-/// tests/core/tracker_parallel_test.cpp).
+/// the whole system, so apply() runs it in DiffSim fault lanes, 64 faults
+/// per pass in fixed blocks of the uncaught list, with the blocks sharded
+/// over the process thread pool: each shard drives a private DiffSim and
+/// records per-fault verdicts into a preallocated buffer, and a serial
+/// merge applies the state transitions in fault-index order.  Per-fault
+/// verdicts are pure functions of the fault index, so every thread count
+/// produces byte-identical CycleStats, FaultSets, schedules and counters
+/// (checked by tests/core/tracker_parallel_test.cpp).
 
 #include <cstdint>
 #include <vector>
@@ -81,7 +82,7 @@ struct PhaseProfile {
   double advance_seconds = 0;   ///< tracker 512-lane hidden advance
   double terminal_seconds = 0;  ///< terminal observes + ex-phase dropping
   double total_seconds = 0;     ///< whole StitchEngine::run call
-  std::size_t faults_classified = 0;  ///< DiffSim classification queries
+  std::size_t faults_classified = 0;  ///< faults classified (one lane each)
   std::size_t hidden_advanced = 0;    ///< BlockLaneSim lanes evaluated
   std::size_t podem_calls = 0;        ///< constrained generate() attempts
   std::size_t podem_backtracks = 0;   ///< backtracks across those calls

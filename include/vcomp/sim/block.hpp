@@ -16,6 +16,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <type_traits>
 
 #include "vcomp/netlist/netlist.hpp"
 
@@ -119,57 +121,77 @@ inline Block block_apply_force(const Block& v, const Block& m0,
   return (v & ~(m0 | m1)) | m1;
 }
 
+namespace detail {
+
+/// One row per GateType for bitslice_eval_fused; each field is all zeros
+/// or all ones.  AND-family gates fold AND over their pins XORed with
+/// \c in_inv (De Morgan: OR is the inverted AND of the inverted pins, and
+/// Buf and Not are the AND of one pin), XOR-family gates take the XOR fold
+/// (\c xor_fold), and \c out_inv inverts the result.
+struct GateFold {
+  std::uint64_t in_inv, xor_fold, out_inv;
+};
+inline constexpr std::uint64_t kAllLanes = ~std::uint64_t{0};
+inline constexpr GateFold kGateFolds[] = {
+    {0, 0, 0},                  // Input (never evaluated)
+    {0, 0, 0},                  // Dff (never evaluated)
+    {0, 0, 0},                  // Buf
+    {0, 0, kAllLanes},          // Not
+    {0, 0, 0},                  // And
+    {0, 0, kAllLanes},          // Nand
+    {kAllLanes, 0, kAllLanes},  // Or
+    {kAllLanes, 0, 0},          // Nor
+    {0, kAllLanes, 0},          // Xor
+    {0, kAllLanes, kAllLanes},  // Xnor
+};
+static_assert(std::size(kGateFolds) ==
+                  static_cast<std::size_t>(netlist::GateType::Xnor) + 1,
+              "one row per GateType, in declaration order");
+
+/// V with every 64-bit word equal to \p m.  V is std::uint64_t, Block, or
+/// a GNU vector of 64-bit lanes (whose scalar operand broadcasts).
+template <typename V>
+inline V splat(std::uint64_t m) {
+  if constexpr (std::is_same_v<V, Block>) {
+    Block b;
+    for (std::size_t i = 0; i < kBlockWords; ++i) b.w[i] = m;
+    return b;
+  } else {
+    return V{} | m;
+  }
+}
+
+}  // namespace detail
+
 /// Width-generic fused gate kernel: evaluates one combinational gate over
 /// fanin values of any bitwise value type V (std::uint64_t for the 64-lane
 /// engines, Block for the scalar 512-lane path, a native vector type
 /// inside the per-ISA sweep translation units).  \p get(k) returns the
 /// k-th fanin pin's value, \p n is the pin count.  word_eval_fused is the
 /// V = Word instantiation of this kernel.
+///
+/// The kernel does not branch on the gate type: it folds AND and XOR at
+/// once and selects by the type's GateFold row, since a levelized sweep
+/// meets the types in no predictable order and a type switch mispredicts
+/// on most gates.  Sources (Input, Dff) are never evaluated: the Word path
+/// raises the contract error in word_eval, and the sweeps' schedules
+/// exclude them.
 template <typename V, typename Get>
 inline V bitslice_eval_fused(netlist::GateType type, std::size_t n,
                              Get&& get) {
-  switch (type) {
-    case netlist::GateType::Buf:
-      return get(0);
-    case netlist::GateType::Not:
-      return ~get(0);
-    case netlist::GateType::And: {
-      V v = get(0);
-      for (std::size_t i = 1; i < n; ++i) v &= get(i);
-      return v;
-    }
-    case netlist::GateType::Nand: {
-      V v = get(0);
-      for (std::size_t i = 1; i < n; ++i) v &= get(i);
-      return ~v;
-    }
-    case netlist::GateType::Or: {
-      V v = get(0);
-      for (std::size_t i = 1; i < n; ++i) v |= get(i);
-      return v;
-    }
-    case netlist::GateType::Nor: {
-      V v = get(0);
-      for (std::size_t i = 1; i < n; ++i) v |= get(i);
-      return ~v;
-    }
-    case netlist::GateType::Xor: {
-      V v = get(0);
-      for (std::size_t i = 1; i < n; ++i) v ^= get(i);
-      return v;
-    }
-    case netlist::GateType::Xnor: {
-      V v = get(0);
-      for (std::size_t i = 1; i < n; ++i) v ^= get(i);
-      return ~v;
-    }
-    case netlist::GateType::Input:
-    case netlist::GateType::Dff:
-      break;
+  const detail::GateFold& f =
+      detail::kGateFolds[static_cast<std::size_t>(type)];
+  const V in_inv = detail::splat<V>(f.in_inv);
+  const V first = get(0);
+  V a = first ^ in_inv;
+  V e = first;
+  for (std::size_t i = 1; i < n; ++i) {
+    const V y = get(i);
+    a &= y ^ in_inv;
+    e ^= y;
   }
-  // Non-combinational gate: the Word-path raises the contract error in
-  // word_eval; vector callers never reach here (schedule excludes sources).
-  return get(0);
+  const V xor_fold = detail::splat<V>(f.xor_fold);
+  return ((a & ~xor_fold) | (e & xor_fold)) ^ detail::splat<V>(f.out_inv);
 }
 
 }  // namespace vcomp::sim

@@ -1,10 +1,9 @@
 #include "vcomp/atpg/test_set.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <bit>
 
-#include "vcomp/fault/fault_sim.hpp"
 #include "vcomp/tmeas/scoap.hpp"
 #include "vcomp/util/assert.hpp"
 #include "vcomp/util/parallel.hpp"
@@ -29,6 +28,51 @@ void load_vector(DiffSim& sim, const netlist::Netlist& nl,
 }
 
 }  // namespace
+
+std::vector<std::size_t> first_detections(
+    fault::DiffSimShards& sims, std::span<const TestVector* const> walk,
+    std::span<const Fault> faults) {
+  constexpr std::size_t kLanes = DiffSim::kLanes;
+  std::vector<std::size_t> first(faults.size(), kNoDetection);
+  std::vector<std::size_t> open(faults.size());
+  for (std::size_t n = 0; n < open.size(); ++n) open[n] = n;
+  std::vector<Word> pi_words(sims.graph()->num_inputs());
+  std::vector<Word> ppi_words(sims.graph()->num_dffs());
+  for (std::size_t base = 0; base < walk.size() && !open.empty();
+       base += kLanes) {
+    // Pattern lanes: lane k holds walk[base + k].
+    const std::size_t count = std::min(kLanes, walk.size() - base);
+    std::fill(pi_words.begin(), pi_words.end(), Word{0});
+    std::fill(ppi_words.begin(), ppi_words.end(), Word{0});
+    for (std::size_t k = 0; k < count; ++k) {
+      const TestVector& v = *walk[base + k];
+      for (std::size_t i = 0; i < pi_words.size(); ++i)
+        pi_words[i] |= Word(v.pi[i] != 0) << k;
+      for (std::size_t i = 0; i < ppi_words.size(); ++i)
+        ppi_words[i] |= Word(v.ppi[i] != 0) << k;
+    }
+    const Word active = count == kLanes ? ~Word{0} : (Word{1} << count) - 1;
+    // Each open fault is one pattern-lane pass; its lowest detecting lane
+    // is its first detector.  Shards write disjoint first[] entries.
+    util::parallel_for_shards(
+        open.size(), sims.max_shards(),
+        [&](std::size_t shard, std::size_t b, std::size_t e) {
+          DiffSim& s = sims.at(shard);
+          for (std::size_t i = 0; i < pi_words.size(); ++i)
+            s.good().set_input(i, pi_words[i]);
+          for (std::size_t i = 0; i < ppi_words.size(); ++i)
+            s.good().set_state(i, ppi_words[i]);
+          s.commit_good();
+          for (std::size_t n = b; n < e; ++n) {
+            const Word hit = s.simulate(faults[open[n]]).any() & active;
+            if (hit != 0) first[open[n]] = base + std::countr_zero(hit);
+          }
+        });
+    std::erase_if(open,
+                  [&](std::size_t n) { return first[n] != kNoDetection; });
+  }
+  return first;
+}
 
 TestSetResult generate_full_scan_tests(const netlist::Netlist& nl,
                                        const std::vector<Fault>& faults,
@@ -127,6 +171,7 @@ TestSetResult generate_full_scan_tests(const netlist::Netlist& nl,
   // ---- Deterministic phase --------------------------------------------
   tmeas::Scoap scoap(*eg);
   Podem podem(eg, scoap);
+  std::vector<std::size_t> open;
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {
     if (detected[fi]) continue;
     const auto res = podem.generate(faults[fi], nullptr, options.podem);
@@ -137,20 +182,29 @@ TestSetResult generate_full_scan_tests(const netlist::Netlist& nl,
     if (res.status == PodemStatus::Aborted) continue;
 
     TestVector v = fill_cube(res.cube, FillMode::Random, rng);
-    // Fault-dropping simulation of the new vector, sharded over the
-    // remaining faults.  Shards write disjoint detected[] entries, so the
-    // flags after the scan equal the serial ones.
-    const std::size_t base = fi;
+    // Fault-dropping simulation of the new vector: one fault-lane pass per
+    // fixed 64-fault block of the still-open faults, shards taking whole
+    // blocks.  Shards write disjoint detected[] entries, so the flags
+    // after the scan equal the serial ones.
+    open.clear();
+    for (std::size_t fj = fi; fj < faults.size(); ++fj)
+      if (!detected[fj] && result.classes[fj] != FaultClass::Redundant)
+        open.push_back(fj);
+    constexpr std::size_t kLanes = DiffSim::kLanes;
     util::parallel_for_shards(
-        faults.size() - base, sims.max_shards(),
+        (open.size() + kLanes - 1) / kLanes, sims.max_shards(),
         [&](std::size_t shard, std::size_t b, std::size_t e) {
           DiffSim& s = sims.at(shard);
           load_vector(s, nl, v);
-          for (std::size_t off = b; off < e; ++off) {
-            const std::size_t fj = base + off;
-            if (detected[fj]) continue;
-            if (result.classes[fj] == FaultClass::Redundant) continue;
-            if (s.simulate(faults[fj]).any() != 0) detected[fj] = 1;
+          std::array<Fault, kLanes> lane_faults;
+          for (std::size_t blk = b; blk < e; ++blk) {
+            const std::size_t base = blk * kLanes;
+            const std::size_t count = std::min(kLanes, open.size() - base);
+            for (std::size_t k = 0; k < count; ++k)
+              lane_faults[k] = faults[open[base + k]];
+            for (Word hit = s.simulate_lanes({lane_faults.data(), count}).any();
+                 hit != 0; hit &= hit - 1)
+              detected[open[base + std::countr_zero(hit)]] = 1;
           }
         });
     VCOMP_ENSURE(detected[fi], "PODEM vector failed to detect its target");
@@ -158,34 +212,30 @@ TestSetResult generate_full_scan_tests(const netlist::Netlist& nl,
   }
 
   // ---- Reverse-order static compaction --------------------------------
+  // Walking the vectors last to first, keep each one that detects a fault
+  // no later vector already detects: exactly the vectors that are the
+  // first detector, in that walk, of some detected fault.
   if (options.reverse_compaction && !result.vectors.empty()) {
-    std::vector<std::uint8_t> redetected(faults.size(), 0);
-    std::vector<TestVector> kept;
-    for (auto it = result.vectors.rbegin(); it != result.vectors.rend();
-         ++it) {
-      std::atomic<bool> useful{false};
-      util::parallel_for_shards(
-          faults.size(), sims.max_shards(),
-          [&](std::size_t shard, std::size_t b, std::size_t e) {
-            DiffSim& s = sims.at(shard);
-            load_vector(s, nl, *it);
-            bool any = false;
-            for (std::size_t fi = b; fi < e; ++fi) {
-              if (!detected[fi] || redetected[fi]) continue;
-              if (s.simulate(faults[fi]).any() != 0) {
-                redetected[fi] = 1;
-                any = true;
-              }
-            }
-            if (any) useful.store(true, std::memory_order_relaxed);
-          });
-      if (useful.load(std::memory_order_relaxed))
-        kept.push_back(std::move(*it));
+    std::vector<const TestVector*> walk;
+    for (auto it = result.vectors.rbegin(); it != result.vectors.rend(); ++it)
+      walk.push_back(&*it);
+    std::vector<Fault> covered;
+    for (std::size_t fi = 0; fi < faults.size(); ++fi)
+      if (detected[fi]) covered.push_back(faults[fi]);
+    const auto first = first_detections(sims, walk, covered);
+    std::vector<std::uint8_t> keep(walk.size(), 0);
+    for (std::size_t w : first) {
+      // Compaction must not lose coverage.
+      VCOMP_ENSURE(w != kNoDetection, "compaction lost fault coverage");
+      keep[w] = 1;
     }
-    std::reverse(kept.begin(), kept.end());
-    result.vectors = std::move(kept);
-    // Compaction must not lose coverage.
-    VCOMP_ENSURE(redetected == detected, "compaction lost fault coverage");
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < result.vectors.size(); ++i) {
+      if (!keep[walk.size() - 1 - i]) continue;
+      if (kept != i) result.vectors[kept] = std::move(result.vectors[i]);
+      ++kept;
+    }
+    result.vectors.resize(kept);
   }
 
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {

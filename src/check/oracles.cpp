@@ -175,22 +175,20 @@ std::optional<Failure> simulators_round(const Case& c,
 
 constexpr std::uint64_t kCompactSalt = 0xc0a1e5cedc0de5ULL;
 
-/// XOR-folds a fault effect's ppo diffs per dff index.  simulate_mapped may
-/// report one diff per mapped site; duplicates on the same dff fold as XOR
-/// exactly like the tracker applies them, so the folded map is the
-/// comparable form.
-std::map<std::uint32_t, Word> folded_ppo(const fault::DiffSim::Effect& eff) {
+/// A fault effect's ppo diffs keyed by flip-flop.  A DiffSim pass reports
+/// one nonzero entry per flip-flop, in the order the pass touched them,
+/// and that order differs between the original and the compacted graph,
+/// so the map is the comparable form.
+std::map<std::uint32_t, Word> ppo_map(const fault::DiffSim::Effect& eff) {
   std::map<std::uint32_t, Word> m;
-  for (const auto& d : eff.ppo_diffs)
-    if (d.diff != 0) m[d.dff_index] ^= d.diff;
-  for (auto it = m.begin(); it != m.end();)
-    it = it->second == 0 ? m.erase(it) : std::next(it);
+  for (const auto& d : eff.ppo_diffs) m[d.dff_index] = d.diff;
   return m;
 }
 
 /// One stimulus round of the compacted-vs-original equivalence oracle:
 /// WordSim gate values through the id remap, DiffSim::simulate vs
-/// simulate_mapped, and BlockLaneSim with plain faults vs mapped faults.
+/// simulate_mapped, DiffSim's fault-lane pass vs simulate_mapped per lane,
+/// and BlockLaneSim with plain faults vs mapped faults.
 std::optional<Failure> compaction_round(const Case& c,
                                         const sim::EvalGraph::Ref& graph,
                                         const fault::CompactModel& model,
@@ -242,9 +240,55 @@ std::optional<Failure> compaction_round(const Case& c,
     if (ea.po_any != eb.po_any)
       return fail("compact", "po_any differs for mapped " +
                                  fault::fault_name(nl, c.faults[fi]));
-    if (folded_ppo(ea) != folded_ppo(eb))
+    if (ppo_map(ea) != ppo_map(eb))
       return fail("compact", "ppo diffs differ for mapped " +
                                  fault::fault_name(nl, c.faults[fi]));
+  }
+
+  // DiffSim fault lanes: kLanes sampled mapped faults in one pass must give
+  // every lane k the PO bit and ppo map of fault k's own pattern-lane
+  // pass, under a broadcast stimulus (one vector in every lane, as the
+  // tracker classifies) and under per-lane stimuli.
+  const auto lane_sample =
+      sample_faults(c.faults.size(), rng, fault::DiffSim::kLanes);
+  std::vector<const fault::MappedFault*> lane_faults;
+  for (std::uint32_t fi : lane_sample)
+    lane_faults.push_back(&model.mapped(fi));
+  for (const bool broadcast : {true, false}) {
+    auto stimulus = [&](Word w) {
+      return broadcast ? ((w & 1) != 0 ? ~Word{0} : Word{0}) : w;
+    };
+    for (std::size_t i = 0; i < nl.num_inputs(); ++i)
+      dcomp.good().set_input(i, stimulus(in[i]));
+    for (std::size_t i = 0; i < nl.num_dffs(); ++i)
+      dcomp.good().set_state(i, stimulus(st[i]));
+    dcomp.commit_good();
+    std::vector<Word> want_po;
+    std::vector<std::map<std::uint32_t, Word>> want_ppo;
+    for (const fault::MappedFault* mf : lane_faults) {
+      const auto eff = dcomp.simulate_mapped(*mf);
+      want_po.push_back(eff.po_any);
+      want_ppo.push_back(ppo_map(eff));
+    }
+    const auto eff = dcomp.simulate_lanes(lane_faults);
+    const Word po = eff.po_any;
+    const auto ppo = ppo_map(eff);
+    auto lane_bits = [](const std::map<std::uint32_t, Word>& m,
+                        std::size_t k) {
+      std::map<std::uint32_t, Word> out;
+      for (const auto& [dff, d] : m)
+        if ((d >> k) & 1) out[dff] = 1;
+      return out;
+    };
+    for (std::size_t k = 0; k < lane_faults.size(); ++k) {
+      if (((po ^ want_po[k]) >> k) & 1 ||
+          lane_bits(ppo, k) != lane_bits(want_ppo[k], k))
+        return fail("compact",
+                    "fault-lane pass differs in lane " + std::to_string(k) +
+                        (broadcast ? " (broadcast" : " (per-lane") +
+                        " stimulus) for mapped " +
+                        fault::fault_name(nl, c.faults[lane_sample[k]]));
+    }
   }
 
   // BlockLaneSim: original faults on the original graph vs mapped faults on

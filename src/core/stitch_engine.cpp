@@ -124,13 +124,6 @@ PpiConstraints StitchEngine::constraints_for(const FabricState& state,
   return cons;
 }
 
-void StitchEngine::load_scoring_sim(fault::DiffSim& sim, const TestVector& v) {
-  for (std::size_t i = 0; i < nl_->num_inputs(); ++i)
-    sim.good().set_input(i, v.pi[i] ? ~Word{0} : Word{0});
-  for (std::size_t i = 0; i < nl_->num_dffs(); ++i)
-    sim.good().set_state(i, v.ppi[i] ? ~Word{0} : Word{0});
-}
-
 std::optional<StitchEngine::Candidate> StitchEngine::generate(
     const FaultSets& sets, const FabricState& state, const ShiftPlan& plan,
     bool first_vector, PhaseProfile& prof) {
@@ -515,49 +508,34 @@ void StitchEngine::run_into(StitchResult& res) {
     (void)flushed;
 
     // Cover the leftovers with traditional vectors drawn from the baseline
-    // pool (greedy, with fault dropping).  The per-vector detection scan
-    // runs sharded over the thread pool: each shard drives a private
-    // DiffSim loaded with the same vector and writes its slots of the
-    // verdict buffer; the serial merge below walks the buffer in index
-    // order, so catches and the retained `remaining` order are identical
-    // for every thread count.
+    // pool, greedily with fault dropping: a pool vector is kept iff it is
+    // the first, in pool order, to detect some leftover fault.
+    // first_detections runs 64 pool vectors per pass, sharded over the
+    // leftover faults; catches commute, so the kept vectors, catches and
+    // counters are identical for every thread count.
     const obs::Span span("stitch.drop", stitch_metrics().drop_seconds,
                          prof.terminal_seconds);
+    std::vector<const TestVector*> pool;
+    for (const auto& bv : baseline_->vectors) pool.push_back(&bv);
+    std::vector<fault::Fault> leftover;
+    for (std::size_t i : remaining) leftover.push_back((*faults_)[i]);
+    const auto first = atpg::first_detections(ssims_, pool, leftover);
+    std::vector<std::uint8_t> useful(pool.size(), 0);
+    for (std::size_t n = 0; n < remaining.size(); ++n) {
+      VCOMP_ENSURE(first[n] != atpg::kNoDetection,
+                   "baseline pool failed to cover remaining faults");
+      tracker.catch_externally(remaining[n]);
+      ++res.caught_extra;
+      useful[first[n]] = 1;
+    }
     std::size_t ex = 0;
-    for (const auto& bv : baseline_->vectors) {
-      if (remaining.empty()) break;
-      drop_hit_.assign(remaining.size(), 0);
-      util::parallel_for_shards(
-          remaining.size(), ssims_.max_shards(),
-          [&](std::size_t shard, std::size_t b, std::size_t e) {
-            fault::DiffSim& sim = ssims_.at(shard);
-            load_scoring_sim(sim, bv);
-            sim.commit_good();
-            for (std::size_t n = b; n < e; ++n)
-              drop_hit_[n] =
-                  sim.simulate((*faults_)[remaining[n]]).any() != 0 ? 1 : 0;
-          });
-      bool useful = false;
-      std::size_t kept = 0;
-      for (std::size_t n = 0; n < remaining.size(); ++n) {
-        if (drop_hit_[n]) {
-          tracker.catch_externally(remaining[n]);
-          ++res.caught_extra;
-          useful = true;
-        } else {
-          remaining[kept++] = remaining[n];
-        }
-      }
-      remaining.resize(kept);
-      if (useful) {
-        ++ex;
-        res.schedule.extra.push_back(bv);
-      }
+    for (std::size_t k = 0; k < pool.size(); ++k) {
+      if (!useful[k]) continue;
+      ++ex;
+      res.schedule.extra.push_back(*pool[k]);
     }
     res.extra_full_vectors = ex;
     meter.extra_full_vectors(ex);
-    VCOMP_ENSURE(remaining.empty(),
-                 "baseline pool failed to cover remaining faults");
   } else if (tracker.sets().num_hidden() > 0) {
     // All of f_u is covered; observe the still-hidden faults.  Prefer the
     // cheap partial observation when it provably catches all of them.

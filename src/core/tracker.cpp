@@ -1,6 +1,8 @@
 #include "vcomp/core/tracker.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "vcomp/obs/obs.hpp"
 #include "vcomp/util/assert.hpp"
@@ -215,38 +217,55 @@ CycleStats StitchTracker::apply(const TestVector& v,
 
     // Classify freshly differentiated uncaught faults.  Their machines
     // held the same chain content as the fault-free one, so they saw
-    // exactly v.  Sharded over the thread pool: each shard drives a
-    // private DiffSim and writes its slots of the verdict buffer; the
-    // merge below applies state transitions serially in fault-index order,
-    // so the resulting CycleStats and FaultSets are identical for every
+    // exactly v: one fault-lane DiffSim pass carries 64 of them under the
+    // broadcast stimulus.  Lanes are fixed 64-fault blocks of the work
+    // list and shards take whole blocks, each driving a private DiffSim
+    // and writing its faults' slots of the verdict buffer; the merge below
+    // applies state transitions serially in fault-index order, so the
+    // CycleStats, FaultSets and diffsim counters are identical for every
     // thread count.
     classify_.clear();
     for (std::size_t i = 0; i < faults_->size(); ++i)
       if (track_[i] && sets_.state(i) == FaultState::Uncaught)
         classify_.push_back(i);
     if (verdicts_.size() < classify_.size()) verdicts_.resize(classify_.size());
+    constexpr std::size_t kLanes = fault::DiffSim::kLanes;
+    const std::size_t blocks = (classify_.size() + kLanes - 1) / kLanes;
     util::parallel_for_shards(
-        classify_.size(), ssims_.max_shards(),
+        blocks, ssims_.max_shards(),
         [&](std::size_t shard, std::size_t b, std::size_t e) {
           fault::DiffSim& sim = ssims_.at(shard);
           if (shard != 0) {  // shard 0 is sim0_, already committed above
             load_stimulus(sim, v);
             sim.commit_good();
           }
-          for (std::size_t n = b; n < e; ++n) {
-            Verdict& vd = verdicts_[n];
-            vd.kind = 0;
-            vd.flips.clear();
-            const auto eff = sim.simulate_mapped(model_->mapped(classify_[n]));
-            if (eff.po_any & 1) {
-              vd.kind = 1;
-              continue;
+          std::array<const fault::MappedFault*, kLanes> lane_faults;
+          for (std::size_t blk = b; blk < e; ++blk) {
+            const std::size_t base = blk * kLanes;
+            const std::size_t count =
+                std::min(kLanes, classify_.size() - base);
+            for (std::size_t k = 0; k < count; ++k) {
+              lane_faults[k] = &model_->mapped(classify_[base + k]);
+              verdicts_[base + k].kind = 0;
+              verdicts_[base + k].flips.clear();
             }
-            for (const auto& d : eff.ppo_diffs)
-              if (d.diff & 1)
-                vd.flips.push_back(
-                    static_cast<std::uint32_t>(fabric_.flat_of(d.dff_index)));
-            if (!vd.flips.empty()) vd.kind = 2;
+            const auto eff = sim.simulate_lanes(
+                std::span<const fault::MappedFault* const>(lane_faults.data(),
+                                                           count));
+            for (const auto& d : eff.ppo_diffs) {
+              const auto p =
+                  static_cast<std::uint32_t>(fabric_.flat_of(d.dff_index));
+              for (Word bits = d.diff & ~eff.po_any; bits != 0;
+                   bits &= bits - 1)
+                verdicts_[base + std::countr_zero(bits)].flips.push_back(p);
+            }
+            for (std::size_t k = 0; k < count; ++k) {
+              Verdict& vd = verdicts_[base + k];
+              if ((eff.po_any >> k) & 1)
+                vd.kind = 1;
+              else if (!vd.flips.empty())
+                vd.kind = 2;
+            }
           }
         });
     for (std::size_t n = 0; n < classify_.size(); ++n) {

@@ -115,6 +115,30 @@ TEST(Diagnosis, WorksOnSyntheticCircuitWithVariableShift) {
   EXPECT_GT(checked, 0u);
 }
 
+TEST(Diagnosis, BatchedVerdictsMatchOneDeviceAtATime) {
+  // diagnose() simulates 512 candidate devices per sweep; each lane must
+  // give its candidate the distance of that device simulated alone.
+  // s444's fault list spans two batches, the second one partial.
+  static DiagSetup s{netgen::generate("s444")};
+  const auto& nl = s.lab.netlist();
+  const auto& cf = s.lab.faults();
+  ASSERT_GT(cf.size(), 512u);
+  const auto device = simulate_device(nl, s.run.schedule,
+                                      scan::CaptureMode::Normal, s.out,
+                                      &cf[cf.size() / 2]);
+  const auto verdicts = diagnose(nl, cf, s.run.schedule,
+                                 scan::CaptureMode::Normal, s.out, device);
+  ASSERT_EQ(verdicts.size(), cf.size());
+  std::vector<std::size_t> mismatch(cf.size());
+  for (const auto& v : verdicts) mismatch[v.fault_index] = v.mismatch;
+  for (std::size_t i = 0; i < cf.size(); i += 7)
+    EXPECT_EQ(mismatch[i], simulate_device(nl, s.run.schedule,
+                                           scan::CaptureMode::Normal, s.out,
+                                           &cf[i])
+                               .hamming(device))
+        << fault_name(nl, cf[i]);
+}
+
 TEST(Diagnosis, StreamShapeConsistent) {
   auto& s = example_setup();
   const auto& sched = s.run.schedule;

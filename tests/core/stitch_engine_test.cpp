@@ -9,6 +9,8 @@
 #include <utility>
 
 #include "vcomp/core/experiment.hpp"
+#include "vcomp/core/tracker.hpp"
+#include "vcomp/fault/fault_sim.hpp"
 #include "vcomp/netgen/example_circuit.hpp"
 #include "vcomp/obs/trace.hpp"
 #include "vcomp/serve/json.hpp"
@@ -140,6 +142,67 @@ TEST(StitchEngine, MaxCyclesRespected) {
   const auto res = s444_lab().run(opts);
   EXPECT_LE(res.vectors_applied, 3u);
   EXPECT_EQ(res.uncovered, 0u);  // leftovers covered by the ex phase
+}
+
+TEST(StitchEngine, ExPhaseKeepsTheOneVectorLoopsVectors) {
+  // The ex phase drops the leftover faults with the baseline pool, 64
+  // pool vectors per pass.  Replaying the stitched cycles finds the
+  // leftovers; the one-vector dropping loop over the pool must keep
+  // exactly the vectors the run appended.
+  static const CircuitLab lab(netgen::profile("s953"));
+  const fault::CollapsedFaults& faults = lab.faults();
+  ASSERT_GT(lab.atv(), 64u);  // the pool spans several passes
+  for (const std::size_t max_cycles : {std::size_t{2}, std::size_t{30}}) {
+    StitchOptions opts;
+    opts.max_cycles = max_cycles;
+    const StitchResult res = lab.run(opts);
+
+    std::vector<std::uint8_t> track(faults.size(), 1);
+    std::vector<std::uint8_t> targetable(faults.size(), 0);
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      const atpg::FaultClass c = lab.baseline().classes[i];
+      track[i] = c != atpg::FaultClass::Redundant;
+      targetable[i] = c == atpg::FaultClass::Detected;
+    }
+    const scan::Fabric fabric(lab.netlist());
+    StitchTracker tracker(lab.artifacts().graph, faults, opts.capture,
+                          fabric, scan::FabricOut::direct(fabric), track,
+                          lab.artifacts().compact);
+    const StitchedSchedule& sch = res.schedule;
+    for (std::size_t k = 0; k < sch.vectors.size(); ++k) {
+      if (k == 0)
+        tracker.apply_first(sch.vectors[0]);
+      else
+        tracker.apply_stitched(sch.vectors[k], sch.shifts[k]);
+    }
+    std::vector<fault::Fault> remaining;
+    for (std::size_t i = 0; i < faults.size(); ++i)
+      if (targetable[i] && tracker.sets().state(i) == FaultState::Uncaught)
+        remaining.push_back(faults[i]);
+
+    fault::DiffSim sim(lab.netlist());
+    std::vector<atpg::TestVector> want;
+    std::size_t caught = 0;
+    for (const atpg::TestVector& v : lab.baseline().vectors) {
+      if (remaining.empty()) break;
+      for (std::size_t i = 0; i < v.pi.size(); ++i)
+        sim.good().set_input(i, v.pi[i] ? ~sim::Word{0} : sim::Word{0});
+      for (std::size_t i = 0; i < v.ppi.size(); ++i)
+        sim.good().set_state(i, v.ppi[i] ? ~sim::Word{0} : sim::Word{0});
+      sim.commit_good();
+      const std::size_t before = remaining.size();
+      std::erase_if(remaining, [&](const fault::Fault& f) {
+        return sim.simulate(f).any() != 0;
+      });
+      if (remaining.size() < before) want.push_back(v);
+      caught += before - remaining.size();
+    }
+    EXPECT_TRUE(remaining.empty());
+    EXPECT_GT(want.size(), 0u) << max_cycles;
+    EXPECT_EQ(sch.extra, want) << max_cycles;
+    EXPECT_EQ(res.caught_extra, caught) << max_cycles;
+    EXPECT_EQ(res.extra_full_vectors, want.size()) << max_cycles;
+  }
 }
 
 /// Summed duration (seconds) and count of the buffered trace's spans, by

@@ -23,13 +23,15 @@
 namespace vcomp::core {
 namespace {
 
-/// The tracker_parallel_test random walk on s444, run against a clean
-/// registry; returns the deterministic slice of the global snapshot.
-obs::CounterSet walk_snapshot(std::size_t threads) {
+/// The tracker_parallel_test random walk (on s444 by default), run
+/// against a clean registry; returns the deterministic slice of the global
+/// snapshot.
+obs::CounterSet walk_snapshot(std::size_t threads,
+                              const char* profile = "s444") {
   util::ScopedParallelism scoped(threads);
   obs::Registry::instance().reset();
 
-  const auto nl = netgen::generate("s444");
+  const auto nl = netgen::generate(profile);
   const auto cf = fault::collapsed_fault_list(nl);
   const std::size_t L = nl.num_dffs();
   StitchTracker tracker(nl, cf, scan::CaptureMode::Normal,
@@ -74,6 +76,28 @@ TEST(MetricsDeterminism, TrackerWalkSnapshotThreadCountInvariant) {
   EXPECT_GT(one.get("diffsim.events"), 0u);
   EXPECT_GT(one.get("blocklanesim.evals"), 0u);
   EXPECT_GT(one.get("netgen.circuits"), 0u);
+}
+
+TEST(MetricsDeterminism, DiffSimCountersThreadCountInvariantOnClassify) {
+  // Classify runs one fault-lane pass per fixed 64-fault block of the
+  // uncaught list, and shards take whole blocks, so the diffsim counters
+  // (events included) cannot depend on how many shards split the list.
+  // s1423 classifies thousands of faults per cycle: dozens of blocks.
+  obs::set_metrics_enabled(true);
+  const obs::CounterSet one = walk_snapshot(1, "s1423");
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    const obs::CounterSet other = walk_snapshot(threads, "s1423");
+    EXPECT_EQ(other.get("diffsim.simulations"),
+              one.get("diffsim.simulations"))
+        << threads << " threads";
+    EXPECT_EQ(other.get("diffsim.events"), one.get("diffsim.events"))
+        << threads << " threads";
+    EXPECT_EQ(other, one) << threads << " threads";
+  }
+  EXPECT_GT(one.get("tracker.faults_classified"),
+            64u * 4u * one.get("tracker.cycles"));
+  EXPECT_EQ(one.get("diffsim.simulations"),
+            one.get("tracker.faults_classified"));
 }
 
 TEST(MetricsDeterminism, FullStitchedRunSnapshotThreadCountInvariant) {

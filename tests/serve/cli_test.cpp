@@ -198,5 +198,31 @@ TEST(CliParity, HelpPrintsTheKeyTableAndExitsZero) {
   EXPECT_NE(none.output.find("usage:"), std::string::npos);
 }
 
+TEST(CliParity, ToolsPrintUsageOnHelpAndExitZero) {
+  // --help is a request, not an unknown option: the usage goes to stdout
+  // and the exit code is 0, on every tool.
+  for (const char* bin : {VCOMP_FUZZ_BIN, VCOMP_SERVE_BIN}) {
+    for (const char* flag : {"--help", "-h"}) {
+      const std::string cmd = std::string(bin) + " " + flag + " 2>/dev/null";
+      std::string out;
+      FILE* pipe = popen(cmd.c_str(), "r");
+      ASSERT_NE(pipe, nullptr);
+      char buf[4096];
+      std::size_t n = 0;
+      while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
+      const int status = pclose(pipe);
+      ASSERT_TRUE(WIFEXITED(status)) << bin << " " << flag;
+      EXPECT_EQ(WEXITSTATUS(status), 0) << bin << " " << flag;
+      EXPECT_EQ(out.rfind("usage: ", 0), 0u) << bin << " " << flag << "\n"
+                                              << out;
+      EXPECT_NE(out.find("--help"), std::string::npos) << bin;
+    }
+  }
+  // An unknown option is still a usage error.
+  const CliRun bad = run_cli("--bogus", "", VCOMP_FUZZ_BIN);
+  EXPECT_EQ(bad.status, 2);
+  EXPECT_NE(bad.output.find("unknown option: --bogus"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace vcomp::serve

@@ -92,6 +92,34 @@ TEST(Block, ApplyForce) {
   }
 }
 
+// The branch-free gate kernel against the switch-based word_eval, for
+// every combinational type and pin count, at Word and Block width.
+TEST(Block, FusedKernelMatchesWordEvalAtEveryWidth) {
+  using netlist::GateType;
+  Rng rng(13);
+  for (const GateType t :
+       {GateType::Buf, GateType::Not, GateType::And, GateType::Nand,
+        GateType::Or, GateType::Nor, GateType::Xor, GateType::Xnor}) {
+    const bool single = t == GateType::Buf || t == GateType::Not;
+    for (std::size_t n = 1; n <= (single ? 1u : 5u); ++n) {
+      std::vector<Block> pins(n);
+      for (Block& p : pins)
+        for (std::size_t i = 0; i < kBlockWords; ++i) p.w[i] = rng.next();
+      const Block got = bitslice_eval_fused<Block>(
+          t, n, [&](std::size_t k) -> const Block& { return pins[k]; });
+      for (std::size_t i = 0; i < kBlockWords; ++i) {
+        std::vector<Word> fan(n);
+        for (std::size_t k = 0; k < n; ++k) fan[k] = pins[k].w[i];
+        const Word want = word_eval(t, fan);
+        ASSERT_EQ(got.w[i], want) << to_string(t) << " with " << n << " pins";
+        ASSERT_EQ(word_eval_fused(t, n, [&](std::size_t k) { return fan[k]; }),
+                  want)
+            << to_string(t) << " with " << n << " pins";
+      }
+    }
+  }
+}
+
 TEST(SimdDispatch, ModeStringsRoundTrip) {
   for (SimdMode m : {SimdMode::Auto, SimdMode::Scalar, SimdMode::Avx2,
                      SimdMode::Avx512})

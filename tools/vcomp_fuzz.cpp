@@ -22,6 +22,7 @@
 //     --metrics <file>  write an obs metrics snapshot (JSON) on exit
 //     --trace <file>    record spans, write Chrome-trace JSON on exit
 //     --quiet           suppress progress logging
+//     --help            print this usage and exit 0
 //
 // Exit code: 0 clean, 1 failures found, 2 usage error.
 
@@ -41,12 +42,13 @@ using namespace vcomp;
 
 namespace {
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
+/// Prints the usage to \p to; returns the exit code of a usage error.
+int usage(std::FILE* to, const char* argv0) {
+  std::fprintf(to,
                "usage: %s [--cases n] [--minutes m] [--seed n]\n"
                "       [--identity k] [--threads n] [--repro-dir d]\n"
                "       [--replay file] [--max-failures n] [--no-shrink]\n"
-               "       [--metrics file] [--trace file] [--quiet]\n",
+               "       [--metrics file] [--trace file] [--quiet] [--help]\n",
                argv0);
   return 2;
 }
@@ -107,6 +109,10 @@ int main(int argc, char** argv) {
       auto number = [&] {
         return serve::parse_flag_number<std::uint64_t>(a, need());
       };
+      if (a == "--help" || a == "-h") {
+        usage(stdout, argv[0]);
+        return 0;
+      }
       if (a == "--cases") {
         opts.cases = number();
       } else if (a == "--minutes") {
@@ -134,7 +140,7 @@ int main(int argc, char** argv) {
         opts.log = nullptr;
       } else {
         std::fprintf(stderr, "unknown option: %s\n", a.c_str());
-        return usage(argv[0]);
+        return usage(stderr, argv[0]);
       }
     }
 

@@ -23,6 +23,7 @@
 //     --metrics <f>    write the process obs metrics snapshot on exit
 //     --trace <f>      write Chrome-trace JSON on exit (per-job events
 //                      carry the job's scope token as the trace pid)
+//     --help           print the usage and exit 0
 //
 // Example session (pipe mode):
 //   {"op":"submit","id":"a","circuit":"gen:c432","config":{"chains":4}}
@@ -45,11 +46,12 @@ using namespace vcomp;
 
 namespace {
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
+/// Prints the usage to \p to; returns the exit code of a usage error.
+int usage(std::FILE* to, const char* argv0) {
+  std::fprintf(to,
                "usage: %s [--port n] [--max-jobs n] [--cache n]\n"
                "       [--progress n] [--threads n] [--metrics f] "
-               "[--trace f]\n",
+               "[--trace f] [--help]\n",
                argv0);
   return 2;
 }
@@ -71,6 +73,10 @@ int main(int argc, char** argv) {
       auto number = [&] {
         return serve::parse_flag_number<std::size_t>(a, need());
       };
+      if (a == "--help" || a == "-h") {
+        usage(stdout, argv[0]);
+        return 0;
+      }
       if (a == "--port")
         port = serve::parse_flag_number<std::uint16_t>(a, need());
       else if (a == "--max-jobs") opts.max_active_jobs = number();
@@ -80,7 +86,7 @@ int main(int argc, char** argv) {
         util::ThreadPool::instance().configure(number());
       else if (a == "--metrics") metrics_path = need();
       else if (a == "--trace") trace_path = need();
-      else return usage(argv[0]);
+      else return usage(stderr, argv[0]);
     }
 
     if (!trace_path.empty()) obs::set_trace_enabled(true);
