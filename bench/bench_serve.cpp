@@ -119,6 +119,12 @@ int main() {
       // the artifact build dominates and sharing pays off directly.
       {"gen:s5378", "chains=4 seed=3 max_cycles=4",
        "{\"chains\":4,\"seed\":3,\"max_cycles\":4}"},
+      // Exact-gated guards for the tracker's other rules: the VXor capture
+      // fold, the horizontal-XOR catch rule and the PODEM-then-SAT race.
+      {"gen:s1423", "capture=vxor chains=3 seed=3",
+       "{\"capture\":\"vxor\",\"chains\":3,\"seed\":3}"},
+      {"gen:s1423", "hxor=3 seed=3", "{\"hxor\":3,\"seed\":3}"},
+      {"gen:s1423", "atpg=race seed=3", "{\"atpg\":\"race\",\"seed\":3}"},
   };
 
   Stopwatch total;
