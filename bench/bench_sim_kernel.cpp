@@ -4,8 +4,8 @@
 //
 // For a spread of circuit profiles it emits one row per *dispatch width*:
 //  * word64        — WordSim::eval, the 64-lane scalar kernel;
-//  * block-scalar  — a fault-free BlockLaneSim::eval, the sweep the tracker
-//    runs: 512 lanes through the portable sweep;
+//  * block-scalar  — a fault-free BlockLaneSim::eval, the sweep diagnosis
+//    and the simulator oracles run: 512 lanes through the portable sweep;
 //  * block-avx2 / block-avx512 — the same 512-lane sweep through the
 //    vectorized translation units (rows appear only where the CPU + build
 //    support the ISA).

@@ -3,8 +3,8 @@
 // Drives a StitchTracker through a scripted random stitched walk (the same
 // shape as tests/core/tracker_test.cpp, minus the assertions) and reports
 // the tracker's per-phase profile:
-//  * classify_faults_per_sec — sharded uncaught-fault DiffSim queries/s;
-//  * advance_lanes_per_sec   — 64-lane hidden-fault advance lanes/s;
+//  * classify_faults_per_sec — uncaught faults classified per second;
+//  * advance_lanes_per_sec   — hidden faults advanced per second;
 //  * shift_seconds           — scan-shift + hidden-fault catch time;
 //  * cycles, seconds         — walk length and total tracker wall time;
 //  * counters                — the obs registry's counters of the walk

@@ -54,10 +54,10 @@ int main() {
 
   // A deep difference is visible immediately under HXOR, invisible under
   // direct observation.
-  const scan::FabricState faulty({scan::ChainState{{0, 1, 0, 0, 0, 0}}});
   const scan::FabricState good({scan::ChainState{6}});
+  const scan::FabricDiff at_b = {1};  // the faulty machine differs at b
   const auto sees = [&](const scan::ScanOutModel& m) {
-    return scan::observes_difference(faulty, good, {1}, {{m}}) ? "yes" : "no";
+    return scan::observes_difference(at_b, good, {1}, {{m}}) ? "yes" : "no";
   };
   std::printf("  difference at cell b, one observation cycle:\n");
   std::printf("    direct scan-out sees it: %s\n",

@@ -5,10 +5,10 @@
 /// fault) pair: one eval() advances up to kBlockLanes independent faulty
 /// machines through a combinational cycle.
 ///
-/// This complements DiffSim, which evaluates one fault against shared
-/// stimuli.  The tracker advances every hidden fault here, since each
-/// hidden fault holds its own scan contents; with no fault injected it is
-/// the plain 512-pattern simulator.
+/// This complements DiffSim, which propagates only the differences of its
+/// faults against shared good values.  Diagnosis simulates its candidate
+/// devices here, and the oracles use it as the full-sweep reference; with
+/// no fault injected it is the plain 512-pattern simulator.
 ///
 /// The sweep itself is the shared SIMD-dispatched Block kernel; faulty
 /// gates are handled through the sweep's patch callback — a gate whose

@@ -14,13 +14,16 @@
 ///  * fault lanes — simulate_lanes(): fault k in lane k, lane k under
 ///    stimulus k.  With a broadcast stimulus (every good word all-0 or
 ///    all-1) this is 64 faults against one vector in one pass over the
-///    union of their cones.
+///    union of their cones.  A lane may also flip flip-flop cells, which
+///    makes it a hidden fault's faulty machine.
 ///
 /// Both layouts run one core: each fault site becomes a lane-masked force
 /// (stem, combinational pin or flip-flop data pin), a forced gate is
 /// scheduled like any other event and re-evaluated with its forces, and a
 /// lane whose site is not activated seeds nothing.  Pattern lanes are the
-/// case where every force covers every lane.
+/// case where every force covers every lane.  A flipped cell is a stem
+/// force at the complement of the good cell; a later force on a line
+/// replaces an earlier one in its lanes, and faults come after flips.
 ///
 /// The effect is reported as:
 ///  * po_any — lanes where any primary output differs;
@@ -98,8 +101,16 @@ class DiffSim {
   /// the end carry no fault and report no difference).  Counts one
   /// diffsim.simulations per fault.
   Effect simulate_lanes(std::span<const Fault> faults);
-  /// Fault lanes for compacted-graph faults: lane k carries *faults[k].
-  Effect simulate_lanes(std::span<const MappedFault* const> faults);
+  /// A flip-flop cell holding the complement of its good value in a lane.
+  struct FlippedCell {
+    std::uint32_t dff_index;  ///< index into netlist.dffs()
+    std::uint32_t lane;
+  };
+  /// Fault lanes for compacted-graph faults: lane k carries *faults[k],
+  /// and the cells in \p flipped are inverted in their lanes.  A fault
+  /// forcing a flipped flip-flop's output stem wins in its lane.
+  Effect simulate_lanes(std::span<const MappedFault* const> faults,
+                        std::span<const FlippedCell> flipped = {});
 
  private:
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
@@ -119,8 +130,10 @@ class DiffSim {
     sim::Word value = 0;
   };
 
+  /// Forces the lanes of \p mask of a stem (\p pin < 0) or an input pin
+  /// to the matching bits of \p value, replacing earlier forces there.
   void add_force(netlist::GateId g, std::int16_t pin, sim::Word mask,
-                 bool stuck);
+                 sim::Word value);
   void add_fault(const Fault& f, sim::Word mask);
   void add_fault(const MappedFault& mf, sim::Word mask);
   /// Runs one pass over the forces added since the last one: seeds every

@@ -147,7 +147,8 @@ struct Snapshot {
   std::vector<std::pair<std::string, double>> timings;  // seconds
 
   /// Deterministic view: counters + gauges + histogram summaries
-  /// (name.count/.sum/.min/.max), timings excluded.
+  /// (name.count/.sum/.min/.max), timings and zero values excluded, so a
+  /// scoped snapshot lists only what its task touched.
   CounterSet counters_only() const;
   /// Pretty JSON object {"counters":{...},"gauges":{...},
   /// "histograms":{...},"timings_seconds":{...}}.

@@ -140,8 +140,7 @@ struct FabricOut {
   static FabricOut hxor(const Fabric& fabric, std::size_t num_taps);
 };
 
-/// The bit contents of every chain of one machine; value semantics so
-/// hidden-fault tracking can copy whole fabrics freely.
+/// The bit contents of every chain of one machine.
 class FabricState {
  public:
   explicit FabricState(const Fabric& fabric);
@@ -151,6 +150,8 @@ class FabricState {
   std::size_t num_chains() const { return chains_.size(); }
   std::size_t total_length() const { return offsets_.back(); }
   const ChainState& chain(std::size_t c) const { return chains_[c]; }
+  /// Flat chain-major offset of chain \p c (of the end for num_chains()).
+  std::size_t chain_offset(std::size_t c) const { return offsets_[c]; }
 
   /// Parallel load of every chain; \p bits are flat chain-major.
   void load(std::span<const std::uint8_t> bits);
@@ -178,13 +179,26 @@ class FabricState {
   std::vector<std::size_t> offsets_;
 };
 
-/// The catch rule: true if the ATE reads a difference between \p faulty
-/// and \p good when every chain c shifts out plan[c] observations under
-/// out.chains[c].  Both machines take the same scan-in bits, which cancel,
-/// so only the pre-shift cells matter (observed_bit over faulty ⊕ good):
-/// pass both fabrics as they stand before the shift.  A difference on any
-/// chain suffices.
-bool observes_difference(const FabricState& faulty, const FabricState& good,
-                         const ShiftPlan& plan, const FabricOut& out);
+/// A faulty machine's scan difference: the ascending flat positions of
+/// the cells where its fabric differs from the fault-free one (GF(2): the
+/// faulty fabric is the fault-free one with these cells flipped).
+using FabricDiff = std::vector<std::uint32_t>;
+
+/// Moves \p diff with a shift of plan[c] cells into every chain c of
+/// \p layout (only its chain lengths are read): a differing cell slides
+/// plan[c] toward the tail or leaves past it.  Both machines take the same
+/// scan-in bits, so shifted-in cells never differ.
+void slide_difference(FabricDiff& diff, const FabricState& layout,
+                      const ShiftPlan& plan);
+
+/// The catch rule: true if the ATE reads a difference when every chain c
+/// of \p layout shifts out plan[c] observations under out.chains[c], for a
+/// machine differing by \p diff before the shift.  The shared scan-in bits
+/// cancel, so observation j differs iff observed_bit over the difference
+/// is 1, which only the windows j = t - p of a tap t and a differing cell
+/// p can be: O(|diff| x taps).  A difference on any chain suffices.
+bool observes_difference(std::span<const std::uint32_t> diff,
+                         const FabricState& layout, const ShiftPlan& plan,
+                         const FabricOut& out);
 
 }  // namespace vcomp::scan

@@ -55,7 +55,7 @@ std::uint8_t observed_bit(const ScanOutModel& out, std::size_t j, Cell cell,
 }
 
 /// The bit contents of one scan chain (fault-free machine or one faulty
-/// machine); value semantics so hidden-fault tracking can copy it freely.
+/// machine).
 class ChainState {
  public:
   explicit ChainState(std::size_t length) : bits_(length, 0) {}

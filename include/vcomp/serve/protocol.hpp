@@ -67,9 +67,9 @@ std::string circuit_label(const std::string& circuit, bool full_scale);
 
 /// The canonical single-line result row: Table-2 quantities (TV / ex /
 /// aTV / t / m), coverage accounting, and the job's scoped obs counters
-/// (nonzero values only — zero-valued names registered by unrelated code
-/// paths must not make two otherwise-identical rows differ).  Keys are
-/// emitted in a fixed order; doubles use the fixed %.6f format.
+/// (a counters_only() view: zero-valued names registered by unrelated code
+/// paths are not in it, so they cannot make identical rows differ).  Keys
+/// are emitted in a fixed order; doubles use the fixed %.6f format.
 std::string result_row(const std::string& label, const core::StitchResult& r,
                        const obs::CounterSet& counters);
 

@@ -48,20 +48,6 @@ struct alignas(64) Block {
   /// Broadcasts one bit to every lane.
   static Block fill(bool v) { return v ? ones() : zero(); }
 
-  /// Mask with the low \p n lanes set (n <= kBlockLanes).
-  static Block lane_mask(std::size_t n) {
-    Block b = zero();
-    for (std::size_t i = 0; i < kBlockWords && n != 0; ++i, n -= 64) {
-      if (n >= 64) {
-        b.w[i] = ~std::uint64_t{0};
-      } else {
-        b.w[i] = (std::uint64_t{1} << n) - 1;
-        break;
-      }
-    }
-    return b;
-  }
-
   bool lane(std::size_t k) const { return (w[k / 64] >> (k % 64)) & 1; }
   void set_lane(std::size_t k, bool v) {
     const std::uint64_t m = std::uint64_t{1} << (k % 64);

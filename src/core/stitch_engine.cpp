@@ -276,13 +276,10 @@ std::optional<StitchEngine::Candidate> StitchEngine::generate(
   // On very large uncaught sets, score against a deterministic stride
   // sample — the argmax is statistics, not bookkeeping, so sampling is
   // safe (catch classification in the tracker stays exact).
+  // The sets track every fault but the proven redundancies, so their
+  // uncaught list is the set to score.
   constexpr std::size_t kScoreSampleCap = 4096;
-  scored_.clear();
-  for (std::size_t i = 0; i < faults_->size(); ++i) {
-    if (sets.state(i) != FaultState::Uncaught) continue;
-    if (baseline_->classes[i] == atpg::FaultClass::Redundant) continue;
-    scored_.push_back(i);
-  }
+  scored_.assign(sets.uncaught().begin(), sets.uncaught().end());
   if (scored_.size() > kScoreSampleCap) {
     const std::size_t stride = scored_.size() / kScoreSampleCap + 1;
     std::size_t out = 0;
@@ -492,15 +489,14 @@ void StitchEngine::run_into(StitchResult& res) {
 
   // ---- terminal phase ---------------------------------------------------
   std::vector<std::size_t> remaining;
-  for (std::size_t i = 0; i < faults_->size(); ++i)
-    if (targetable_[i] && tracker.sets().state(i) == FaultState::Uncaught)
-      remaining.push_back(i);
+  for (std::uint32_t i : tracker.sets().uncaught())
+    if (targetable_[i]) remaining.push_back(i);
 
   if (!remaining.empty()) {
     // The first full load of the ex phase observes the entire chain, which
     // provably catches every fault still hidden (the tail is always
     // tapped, so no full-sweep cancellation is possible).
-    for (std::size_t i : tracker.sets().hidden_list())
+    for (const auto& [i, diff] : tracker.sets().hidden())
       if (targetable_[i]) ++res.caught_flush;
     const std::size_t flushed = tracker.terminal_observe(L);
     VCOMP_ENSURE(tracker.sets().num_hidden() == 0,
@@ -539,7 +535,7 @@ void StitchEngine::run_into(StitchResult& res) {
   } else if (tracker.sets().num_hidden() > 0) {
     // All of f_u is covered; observe the still-hidden faults.  Prefer the
     // cheap partial observation when it provably catches all of them.
-    for (std::size_t i : tracker.sets().hidden_list())
+    for (const auto& [i, diff] : tracker.sets().hidden())
       if (targetable_[i]) ++res.caught_flush;
     if (tracker.partial_observe_suffices(last_shift)) {
       tracker.terminal_observe(last_shift);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <iterator>
 
 #include "vcomp/obs/obs.hpp"
 #include "vcomp/util/assert.hpp"
@@ -11,7 +12,6 @@
 namespace vcomp::core {
 
 using atpg::TestVector;
-using sim::Block;
 using sim::Word;
 
 namespace {
@@ -52,17 +52,14 @@ StitchTracker::StitchTracker(sim::EvalGraph::Ref graph,
       capture_(capture),
       fabric_(std::move(fabric)),
       out_model_(std::move(out_model)),
-      track_(std::move(track)),
-      sets_(faults.size()),
+      sets_(faults.size(), std::move(track)),
       state_(fabric_),
       model_(model != nullptr
                  ? std::move(model)
                  : std::make_shared<const fault::CompactModel>(
                        graph, faults.faults(), /*enable=*/true)),
       ssims_(model_->graph()),
-      sim0_(&ssims_.at(0)),
-      lanes_(model_->graph()),
-      sf_state_(fabric_) {
+      sim0_(&ssims_.at(0)) {
   VCOMP_REQUIRE(model_->num_faults() == faults.size(),
                 "shared compact model does not cover the fault list");
   VCOMP_REQUIRE(nl_->num_dffs() > 0, "tracker requires a scan fabric");
@@ -74,8 +71,6 @@ StitchTracker::StitchTracker(sim::EvalGraph::Ref graph,
     for (std::uint32_t t : out_model_.chains[c].taps)
       VCOMP_REQUIRE(t < fabric_.chain_length(c),
                     "scan-out tap beyond chain length");
-  if (track_.empty()) track_.assign(faults.size(), 1);
-  VCOMP_REQUIRE(track_.size() == faults.size(), "track mask size mismatch");
 }
 
 StitchTracker::StitchTracker(const netlist::Netlist& nl,
@@ -112,18 +107,13 @@ void StitchTracker::load_stimulus(fault::DiffSim& sim,
     sim.good().set_state(i, v.ppi[i] ? ~Word{0} : Word{0});
 }
 
-void StitchTracker::read_capture_bits() {
-  const std::size_t L = nl_->num_dffs();
-  ppo_ff_.resize(L);
-  for (std::size_t p = 0; p < L; ++p)
-    ppo_ff_[p] = static_cast<std::uint8_t>(
-        sim0_->good_sim().next_state(fabric_.dff_at_flat(p)) & 1);
-}
-
-void StitchTracker::read_po_bits() {
-  po_ff_.resize(nl_->num_outputs());
-  for (std::size_t i = 0; i < po_ff_.size(); ++i)
-    po_ff_[i] = static_cast<std::uint8_t>(sim0_->good_sim().output(i) & 1);
+scan::FabricState StitchTracker::hidden_state(std::size_t i) const {
+  std::vector<std::uint8_t> bits;
+  state_.flat_bits(bits);
+  for (std::uint32_t p : sets_.hidden().at(i)) bits[p] ^= 1;
+  scan::FabricState s(fabric_);
+  s.load(bits);
+  return s;
 }
 
 CycleStats StitchTracker::apply_first(const TestVector& v) {
@@ -158,15 +148,13 @@ CycleStats StitchTracker::apply_stitched(const TestVector& v, std::size_t s) {
 CycleStats StitchTracker::apply(const TestVector& v,
                                 const scan::ShiftPlan& plan, bool first) {
   const std::size_t L = nl_->num_dffs();
-  const std::size_t npi = nl_->num_inputs();
-  const std::size_t npo = nl_->num_outputs();
   const std::size_t s = scan::Fabric::plan_total(plan);
   const TrackerMetrics& m = tracker_metrics();
   CycleStats st;
   st.shift = s;
 
   if (first) {
-    hidden_before_.clear();  // nothing can be hidden before vector 1
+    advance_.clear();  // nothing can be hidden before vector 1
     by_pos_.resize(L);
     for (std::size_t p = 0; p < L; ++p)
       by_pos_[p] = v.ppi[fabric_.dff_at_flat(p)];
@@ -175,12 +163,13 @@ CycleStats StitchTracker::apply(const TestVector& v,
     // Shift phase: the ATE compares the scan-out observations of every
     // chain against the fault-free values; a hidden fault emitting any
     // different value on any chain is caught right here.  Both machines
-    // take the same scan-in bits, so the catch reads the difference of
-    // the pre-shift fabrics, and only the survivors shift.  The snapshot
-    // also feeds the advance phase below (shift-caught faults are skipped
-    // there).
+    // take the same scan-in bits, so the catch reads the pre-shift
+    // difference, and the survivors slide it and are advanced below.
     const obs::Span span("tracker.shift", m.shift_seconds,
                          profile_.shift_seconds);
+    st.caught_at_shift = catch_observed(plan);
+    for (std::uint32_t i : advance_)
+      scan::slide_difference(sets_.mutable_hidden_diff(i), state_, plan);
     in_bits_.resize(s);
     std::size_t off = 0;
     for (std::size_t c = 0; c < fabric_.num_chains(); ++c) {
@@ -188,181 +177,40 @@ CycleStats StitchTracker::apply(const TestVector& v,
         in_bits_[off + j] = v.ppi[fabric_.dff_at(c, plan[c] - 1 - j)];
       off += plan[c];
     }
-    sets_.hidden_list(hidden_before_);
-    for (std::size_t i : hidden_before_) {
-      if (scan::observes_difference(sets_.hidden_state(i), state_, plan,
-                                    out_model_)) {
-        sets_.set_caught(i, cycle_ + 1);
-        ++st.caught_at_shift;
-      } else {
-        sets_.mutable_hidden_state(i).shift(plan, in_bits_);
-      }
-    }
     state_.shift(plan, in_bits_);
   }
   ++cycle_;
 
+  std::size_t classified = 0;
   {
     // The classify span also times the fault-free apply and capture: shard
-    // 0 classifies on that same simulation.
+    // 0 classifies on that same simulation.  Uncaught faults held the same
+    // chain content as the fault-free machine, so they saw exactly v and
+    // run with empty differences.
     const obs::Span span("tracker.classify", m.classify_seconds,
                          profile_.classify_seconds);
-    // Apply & capture the fault-free machine.
-    state_.flat_bits(pre_capture_);
     load_stimulus(*sim0_, v);
     sim0_->commit_good();
-    read_po_bits();
-    read_capture_bits();
+    ppo_ff_.resize(L);
+    for (std::size_t p = 0; p < L; ++p)
+      ppo_ff_[p] = static_cast<std::uint8_t>(
+          sim0_->good_sim().next_state(fabric_.dff_at_flat(p)) & 1);
     state_.capture(ppo_ff_, capture_);
-
-    // Classify freshly differentiated uncaught faults.  Their machines
-    // held the same chain content as the fault-free one, so they saw
-    // exactly v: one fault-lane DiffSim pass carries 64 of them under the
-    // broadcast stimulus.  Lanes are fixed 64-fault blocks of the work
-    // list and shards take whole blocks, each driving a private DiffSim
-    // and writing its faults' slots of the verdict buffer; the merge below
-    // applies state transitions serially in fault-index order, so the
-    // CycleStats, FaultSets and diffsim counters are identical for every
-    // thread count.
-    classify_.clear();
-    for (std::size_t i = 0; i < faults_->size(); ++i)
-      if (track_[i] && sets_.state(i) == FaultState::Uncaught)
-        classify_.push_back(i);
-    if (verdicts_.size() < classify_.size()) verdicts_.resize(classify_.size());
-    constexpr std::size_t kLanes = fault::DiffSim::kLanes;
-    const std::size_t blocks = (classify_.size() + kLanes - 1) / kLanes;
-    util::parallel_for_shards(
-        blocks, ssims_.max_shards(),
-        [&](std::size_t shard, std::size_t b, std::size_t e) {
-          fault::DiffSim& sim = ssims_.at(shard);
-          if (shard != 0) {  // shard 0 is sim0_, already committed above
-            load_stimulus(sim, v);
-            sim.commit_good();
-          }
-          std::array<const fault::MappedFault*, kLanes> lane_faults;
-          for (std::size_t blk = b; blk < e; ++blk) {
-            const std::size_t base = blk * kLanes;
-            const std::size_t count =
-                std::min(kLanes, classify_.size() - base);
-            for (std::size_t k = 0; k < count; ++k) {
-              lane_faults[k] = &model_->mapped(classify_[base + k]);
-              verdicts_[base + k].kind = 0;
-              verdicts_[base + k].flips.clear();
-            }
-            const auto eff = sim.simulate_lanes(
-                std::span<const fault::MappedFault* const>(lane_faults.data(),
-                                                           count));
-            for (const auto& d : eff.ppo_diffs) {
-              const auto p =
-                  static_cast<std::uint32_t>(fabric_.flat_of(d.dff_index));
-              for (Word bits = d.diff & ~eff.po_any; bits != 0;
-                   bits &= bits - 1)
-                verdicts_[base + std::countr_zero(bits)].flips.push_back(p);
-            }
-            for (std::size_t k = 0; k < count; ++k) {
-              Verdict& vd = verdicts_[base + k];
-              if ((eff.po_any >> k) & 1)
-                vd.kind = 1;
-              else if (!vd.flips.empty())
-                vd.kind = 2;
-            }
-          }
-        });
-    for (std::size_t n = 0; n < classify_.size(); ++n) {
-      const Verdict& vd = verdicts_[n];
-      if (vd.kind == 0) continue;
-      const std::size_t i = classify_[n];
-      if (vd.kind == 1) {
-        sets_.set_caught(i, cycle_);
-        ++st.caught_at_po;
-        continue;
-      }
-      faulty_next_ = ppo_ff_;
-      for (std::uint32_t p : vd.flips) faulty_next_[p] ^= 1;
-      sf_state_.load(pre_capture_);
-      sf_state_.capture(faulty_next_, capture_);
-      if (sf_state_ == state_) continue;  // VXor can cancel the difference
-      sets_.set_hidden(i, sf_state_);
-      ++st.new_hidden;
-    }
+    const std::vector<std::uint32_t>& uncaught = sets_.uncaught();
+    classified = uncaught.size();
+    run_lanes(v, uncaught, st);
   }
-  profile_.faults_classified += classify_.size();
+  profile_.faults_classified += classified;
 
-  // Advance surviving hidden faults through their mutated vectors T_f, in
-  // 512-lane Block batches (each lane carries a private stimulus plus its
-  // mapped fault).  The PI stimulus is identical across lanes, so it is
-  // broadcast once per batch; only the per-lane chain states are
-  // transposed into Blocks.  Batch width changes throughput only: per-lane
-  // verdicts and the hidden_advanced counter are pure functions of the
-  // fault index, identical to the former 64-lane sweep.
-  std::size_t advanced = 0;
   {
     const obs::Span span("tracker.advance", m.advance_seconds,
                          profile_.advance_seconds);
-    for (std::size_t base = 0; base < hidden_before_.size();
-         base += sim::kBlockLanes) {
-      const std::size_t count =
-          std::min<std::size_t>(sim::kBlockLanes, hidden_before_.size() - base);
-      batch_.clear();
-      for (std::size_t k = 0; k < count; ++k) {
-        const std::size_t i = hidden_before_[base + k];
-        if (sets_.state(i) == FaultState::Hidden) batch_.push_back(i);
-      }
-      if (batch_.empty()) continue;  // whole batch shift-caught: skip the sim
-      lanes_.clear();
-      state_blocks_.assign(L, Block::zero());
-      for (std::size_t k = 0; k < batch_.size(); ++k) {
-        lanes_.add_lane();
-        const scan::FabricState& hs = sets_.hidden_state(batch_[k]);
-        for (std::size_t c = 0; c < fabric_.num_chains(); ++c) {
-          const auto& bits = hs.chain(c).bits();
-          const std::size_t base_p = fabric_.chain_offset(c);
-          for (std::size_t p = 0; p < bits.size(); ++p)
-            state_blocks_[base_p + p].w[k / 64] |= Word{bits[p]} << (k % 64);
-        }
-        lanes_.inject_mapped(static_cast<int>(k), model_->mapped(batch_[k]));
-      }
-      for (std::size_t pi = 0; pi < npi; ++pi)
-        lanes_.set_pi_all(pi, v.pi[pi] != 0);
-      for (std::size_t p = 0; p < L; ++p)
-        lanes_.set_state_block(fabric_.dff_at_flat(p), state_blocks_[p]);
-      lanes_.eval();
-
-      const Block active = Block::lane_mask(batch_.size());
-      Block po_diff = Block::zero();
-      for (std::size_t j = 0; j < npo; ++j)
-        po_diff |= lanes_.output_block(j) ^ Block::fill(po_ff_[j] != 0);
-      po_diff &= active;
-      next_blocks_.resize(L);
-      for (std::size_t p = 0; p < L; ++p)
-        next_blocks_[p] = lanes_.next_state_block(fabric_.dff_at_flat(p));
-
-      for (std::size_t k = 0; k < batch_.size(); ++k) {
-        const std::size_t i = batch_[k];
-        if (po_diff.lane(k)) {
-          sets_.set_caught(i, cycle_);
-          ++st.caught_at_po;
-          continue;
-        }
-        faulty_next_.resize(L);
-        for (std::size_t p = 0; p < L; ++p)
-          faulty_next_[p] = static_cast<std::uint8_t>(next_blocks_[p].lane(k));
-        sf_state_ = sets_.hidden_state(i);
-        sf_state_.capture(faulty_next_, capture_);
-        if (sf_state_ == state_) {
-          sets_.set_uncaught(i);
-          ++st.hidden_reverted;
-        } else {
-          sets_.mutable_hidden_state(i) = sf_state_;
-        }
-      }
-      profile_.hidden_advanced += batch_.size();
-      advanced += batch_.size();
-    }
+    run_lanes(v, advance_, st);
   }
+  profile_.hidden_advanced += advance_.size();
   m.cycles.inc();
-  m.faults_classified.add(classify_.size());
-  m.hidden_advanced.add(advanced);
+  m.faults_classified.add(classified);
+  m.hidden_advanced.add(advance_.size());
   m.caught_at_shift.add(st.caught_at_shift);
   m.caught_at_po.add(st.caught_at_po);
   m.new_hidden.add(st.new_hidden);
@@ -372,21 +220,103 @@ CycleStats StitchTracker::apply(const TestVector& v,
   return st;
 }
 
+std::size_t StitchTracker::catch_observed(const scan::ShiftPlan& plan) {
+  advance_.clear();
+  observe_list_.clear();
+  for (const auto& [i, diff] : sets_.hidden())
+    (scan::observes_difference(diff, state_, plan, out_model_) ? observe_list_
+                                                               : advance_)
+        .push_back(i);
+  for (std::uint32_t i : observe_list_) sets_.set_caught(i, cycle_ + 1);
+  return observe_list_.size();
+}
+
+void StitchTracker::run_lanes(const TestVector& v,
+                              std::span<const std::uint32_t> work,
+                              CycleStats& st) {
+  // Lanes are fixed 64-fault blocks of the work list and shards take whole
+  // blocks, so the passes, and with them the diffsim counters, are the
+  // same for every thread count.
+  if (verdicts_.size() < work.size()) verdicts_.resize(work.size());
+  constexpr std::size_t kLanes = fault::DiffSim::kLanes;
+  const std::size_t blocks = (work.size() + kLanes - 1) / kLanes;
+  util::parallel_for_shards(
+      blocks, ssims_.max_shards(),
+      [&](std::size_t shard, std::size_t b, std::size_t e) {
+        fault::DiffSim& sim = ssims_.at(shard);
+        if (shard != 0) {  // shard 0 is sim0_, already committed
+          load_stimulus(sim, v);
+          sim.commit_good();
+        }
+        std::array<const fault::MappedFault*, kLanes> lane_faults;
+        std::vector<fault::DiffSim::FlippedCell> flipped;
+        for (std::size_t blk = b; blk < e; ++blk) {
+          const std::size_t base = blk * kLanes;
+          const std::size_t count = std::min(kLanes, work.size() - base);
+          flipped.clear();
+          for (std::size_t k = 0; k < count; ++k) {
+            const std::uint32_t i = work[base + k];
+            lane_faults[k] = &model_->mapped(i);
+            verdicts_[base + k].diff.clear();
+            if (sets_.state(i) == FaultState::Hidden)
+              for (std::uint32_t p : sets_.hidden().at(i))
+                flipped.push_back({fabric_.dff_at_flat(p),
+                                   static_cast<std::uint32_t>(k)});
+          }
+          const auto eff = sim.simulate_lanes(
+              std::span<const fault::MappedFault* const>(lane_faults.data(),
+                                                         count),
+              flipped);
+          for (const auto& d : eff.ppo_diffs) {
+            const auto p =
+                static_cast<std::uint32_t>(fabric_.flat_of(d.dff_index));
+            for (Word bits = d.diff & ~eff.po_any; bits != 0;
+                 bits &= bits - 1)
+              verdicts_[base + std::countr_zero(bits)].diff.push_back(p);
+          }
+          for (std::size_t k = 0; k < count; ++k) {
+            Verdict& vd = verdicts_[base + k];
+            vd.caught = (eff.po_any >> k) & 1;
+            std::sort(vd.diff.begin(), vd.diff.end());
+          }
+        }
+      });
+  for (std::size_t n = 0; n < work.size(); ++n) {
+    const std::uint32_t i = work[n];
+    Verdict& vd = verdicts_[n];
+    const bool hidden = sets_.state(i) == FaultState::Hidden;
+    if (hidden && capture_ == scan::CaptureMode::VXor) {
+      // VXor capture adds the next state onto the cells: the old
+      // difference stays, and a cell it shares with the flips cancels.
+      const scan::FabricDiff& old = sets_.hidden().at(i);
+      fold_.clear();
+      std::set_symmetric_difference(vd.diff.begin(), vd.diff.end(),
+                                    old.begin(), old.end(),
+                                    std::back_inserter(fold_));
+      vd.diff.swap(fold_);
+    }
+    if (vd.caught) {
+      sets_.set_caught(i, cycle_);
+      ++st.caught_at_po;
+    } else if (!vd.diff.empty()) {
+      if (!hidden) ++st.new_hidden;
+      sets_.set_hidden(i, vd.diff);
+    } else if (hidden) {
+      sets_.set_uncaught(i);
+      ++st.hidden_reverted;
+    }
+  }
+}
+
 bool StitchTracker::partial_observe_suffices(
     const scan::ShiftPlan& plan) const {
   const obs::Span span("tracker.partial_observe",
                        tracker_metrics().terminal_seconds,
                        profile_.terminal_seconds);
-  bool ok = true;
-  sets_.hidden_list(observe_list_);
-  for (std::size_t i : observe_list_) {
-    if (!scan::observes_difference(sets_.hidden_state(i), state_, plan,
-                                   out_model_)) {
-      ok = false;
-      break;
-    }
-  }
-  return ok;
+  for (const auto& [i, diff] : sets_.hidden())
+    if (!scan::observes_difference(diff, state_, plan, out_model_))
+      return false;
+  return true;
 }
 
 bool StitchTracker::partial_observe_suffices(std::size_t s) const {
@@ -400,15 +330,7 @@ std::size_t StitchTracker::terminal_observe(const scan::ShiftPlan& plan) {
   const TrackerMetrics& m = tracker_metrics();
   const obs::Span span("tracker.terminal_observe", m.terminal_seconds,
                        profile_.terminal_seconds);
-  std::size_t caught = 0;
-  sets_.hidden_list(observe_list_);
-  for (std::size_t i : observe_list_) {
-    if (scan::observes_difference(sets_.hidden_state(i), state_, plan,
-                                  out_model_)) {
-      sets_.set_caught(i, cycle_ + 1);
-      ++caught;
-    }
-  }
+  const std::size_t caught = catch_observed(plan);
   m.terminal_caught.add(caught);
   return caught;
 }

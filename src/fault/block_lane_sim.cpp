@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "vcomp/obs/metrics.hpp"
 #include "vcomp/util/assert.hpp"
 
 namespace vcomp::fault {
@@ -13,24 +12,6 @@ using sim::Block;
 using sim::EvalGraph;
 using sim::kBlockLanes;
 using sim::kBlockWords;
-
-namespace {
-
-// lanes counts occupied lanes per eval, so lanes/evals/512 is the average
-// lane occupancy of the Block-wide datapath.
-struct BlockLaneSimMetrics {
-  obs::Counter evals = obs::counter("blocklanesim.evals");
-  obs::Counter lanes = obs::counter("blocklanesim.lanes");
-  obs::Histogram lanes_per_eval =
-      obs::histogram("blocklanesim.lanes_per_eval");
-};
-
-const BlockLaneSimMetrics& blocklanesim_metrics() {
-  static const BlockLaneSimMetrics m;
-  return m;
-}
-
-}  // namespace
 
 BlockLaneSim::BlockLaneSim(EvalGraph::Ref graph, sim::SimdMode mode)
     : eg_(std::move(graph)),
@@ -157,11 +138,6 @@ void BlockLaneSim::patch_gate(GateId g) {
 }
 
 void BlockLaneSim::eval() {
-  const BlockLaneSimMetrics& metrics = blocklanesim_metrics();
-  metrics.evals.inc();
-  metrics.lanes.add(static_cast<std::uint64_t>(lanes_));
-  metrics.lanes_per_eval.record(static_cast<std::uint64_t>(lanes_));
-
   // Stem forces on sources (PI / PPI stem faults): sources are outside the
   // sweep schedule, so the patch hook never fires for them.
   for (const auto& [g, force] : stem_forces_) {

@@ -88,24 +88,24 @@ void DiffSim::set_origin(GateId g, Word d) {
   for (GateId s : eg_->fanout(g)) schedule(s);
 }
 
-void DiffSim::add_force(GateId g, std::int16_t pin, Word mask, bool stuck) {
+void DiffSim::add_force(GateId g, std::int16_t pin, Word mask, Word value) {
   std::uint32_t& slot = force_slot_[g];
   if (slot == kNone) {
     slot = static_cast<std::uint32_t>(gate_forces_.size());
     gate_forces_.push_back({.gate = g});
   }
   GateForce& gf = gate_forces_[slot];
-  const Word value = stuck ? mask : Word{0};
+  value &= mask;
   if (pin < 0) {
     gf.stem_mask |= mask;
-    gf.stem_value |= value;
+    gf.stem_value = (gf.stem_value & ~mask) | value;
     return;
   }
   const auto p = static_cast<std::uint32_t>(pin);
   for (std::uint32_t i = gf.first_pin; i != kNone; i = pin_forces_[i].next)
     if (pin_forces_[i].pin == p) {
       pin_forces_[i].mask |= mask;
-      pin_forces_[i].value |= value;
+      pin_forces_[i].value = (pin_forces_[i].value & ~mask) | value;
       return;
     }
   pin_forces_.push_back({p, gf.first_pin, mask, value});
@@ -113,14 +113,14 @@ void DiffSim::add_force(GateId g, std::int16_t pin, Word mask, bool stuck) {
 }
 
 void DiffSim::add_fault(const Fault& f, Word mask) {
-  add_force(f.gate, f.pin, mask, f.stuck != 0);
+  add_force(f.gate, f.pin, mask, f.stuck != 0 ? mask : Word{0});
 }
 
 void DiffSim::add_fault(const MappedFault& mf, Word mask) {
   // Every site of a mapped fault expresses one original stuck-at line, so
   // all of them force the same value in the same lanes.
   for (const MappedSite& s : mf.sites)
-    add_force(s.gate, s.pin, mask, mf.stuck != 0);
+    add_force(s.gate, s.pin, mask, mf.stuck != 0 ? mask : Word{0});
 }
 
 DiffSim::Effect DiffSim::simulate(const Fault& f) {
@@ -141,8 +141,16 @@ DiffSim::Effect DiffSim::simulate_lanes(std::span<const Fault> faults) {
 }
 
 DiffSim::Effect DiffSim::simulate_lanes(
-    std::span<const MappedFault* const> faults) {
+    std::span<const MappedFault* const> faults,
+    std::span<const FlippedCell> flipped) {
   VCOMP_REQUIRE(faults.size() <= kLanes, "a fault-lane pass holds 64 faults");
+  for (const FlippedCell& fc : flipped)
+    VCOMP_REQUIRE(fc.lane < kLanes && fc.dff_index < eg_->num_dffs(),
+                  "flipped cell outside the pass");
+  for (const FlippedCell& fc : flipped) {
+    const GateId g = eg_->dffs()[fc.dff_index];
+    add_force(g, -1, Word{1} << fc.lane, ~good_.values()[g]);
+  }
   for (std::size_t k = 0; k < faults.size(); ++k)
     add_fault(*faults[k], Word{1} << k);
   return run_pass(faults.size());

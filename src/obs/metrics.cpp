@@ -71,6 +71,8 @@ CounterSet Snapshot::counters_only() const {
     out.values.emplace_back(h.name + ".min", h.min);
     out.values.emplace_back(h.name + ".max", h.max);
   }
+  // Every name registered in the process is in a snapshot; drop untouched.
+  std::erase_if(out.values, [](const auto& kv) { return kv.second == 0; });
   std::sort(out.values.begin(), out.values.end());
   return out;
 }

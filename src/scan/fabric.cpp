@@ -1,6 +1,7 @@
 #include "vcomp/scan/fabric.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 #include "vcomp/util/assert.hpp"
@@ -243,23 +244,52 @@ void FabricState::capture(std::span<const std::uint8_t> next_state,
   }
 }
 
-bool observes_difference(const FabricState& faulty, const FabricState& good,
-                         const ShiftPlan& plan, const FabricOut& out) {
-  VCOMP_REQUIRE(faulty.num_chains() == good.num_chains() &&
-                    plan.size() == good.num_chains() &&
-                    out.chains.size() == good.num_chains(),
-                "fabrics, plan and scan-out model must cover the same chains");
-  const auto no_scan_in = [](std::size_t) -> std::uint8_t { return 0; };
-  for (std::size_t c = 0; c < plan.size(); ++c) {
-    const auto& a = faulty.chain(c).bits();
-    const auto& b = good.chain(c).bits();
-    VCOMP_REQUIRE(a.size() == b.size() && plan[c] <= b.size(),
+namespace {
+
+void require_difference(std::span<const std::uint32_t> diff,
+                        const FabricState& layout, const ShiftPlan& plan) {
+  VCOMP_REQUIRE(plan.size() == layout.num_chains(), "plan size mismatch");
+  for (std::size_t c = 0; c < plan.size(); ++c)
+    VCOMP_REQUIRE(plan[c] <= layout.chain(c).length(),
                   "observation window exceeds chain length");
-    const auto diff = [&](std::size_t p) -> std::uint8_t {
-      return a[p] ^ b[p];
+  VCOMP_REQUIRE(std::ranges::adjacent_find(diff, std::greater_equal{}) ==
+                        diff.end() &&
+                    (diff.empty() || diff.back() < layout.total_length()),
+                "a difference lists ascending cells of the fabric");
+}
+
+}  // namespace
+
+void slide_difference(FabricDiff& diff, const FabricState& layout,
+                      const ShiftPlan& plan) {
+  require_difference(diff, layout, plan);
+  std::size_t kept = 0, c = 0;
+  for (const std::uint32_t p : diff) {
+    while (p >= layout.chain_offset(c + 1)) ++c;
+    if (p + plan[c] < layout.chain_offset(c + 1))
+      diff[kept++] = static_cast<std::uint32_t>(p + plan[c]);
+  }
+  diff.resize(kept);
+}
+
+bool observes_difference(std::span<const std::uint32_t> diff,
+                         const FabricState& layout, const ShiftPlan& plan,
+                         const FabricOut& out) {
+  require_difference(diff, layout, plan);
+  VCOMP_REQUIRE(out.chains.size() == layout.num_chains(),
+                "scan-out model must cover every chain");
+  const auto no_scan_in = [](std::size_t) -> std::uint8_t { return 0; };
+  std::size_t c = 0;
+  for (const std::uint32_t flat : diff) {
+    while (flat >= layout.chain_offset(c + 1)) ++c;
+    const std::size_t off = layout.chain_offset(c), p = flat - off;
+    const auto differs = [&](std::size_t q) -> std::uint8_t {
+      return std::binary_search(diff.begin(), diff.end(), off + q);
     };
-    for (std::size_t j = 0; j < plan[c]; ++j)
-      if (observed_bit(out.chains[c], j, diff, no_scan_in)) return true;
+    for (const std::uint32_t t : out.chains[c].taps)
+      if (p <= t && t - p < plan[c] &&
+          observed_bit(out.chains[c], t - p, differs, no_scan_in))
+        return true;
   }
   return false;
 }

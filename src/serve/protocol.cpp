@@ -110,7 +110,6 @@ std::string result_row(const std::string& label, const core::StitchResult& r,
   out += ",\"counters\":{";
   bool first = true;
   for (const auto& [name, value] : counters.values) {
-    if (value == 0) continue;  // zero-valued registrations are ambient noise
     if (!first) out += ',';
     append_json_string(out, name);
     out += ':';

@@ -50,8 +50,8 @@ class ExampleReplay : public ::testing::Test {
   FaultState state(const std::string& name) const {
     return tracker_.sets().state(index_.at(name));
   }
-  const Bits& hidden_bits(const std::string& name) const {
-    return tracker_.sets().hidden_state(index_.at(name)).chain(0).bits();
+  Bits hidden_bits(const std::string& name) const {
+    return tracker_.hidden_state(index_.at(name)).chain(0).bits();
   }
   std::size_t caught_cycle(const std::string& name) const {
     return tracker_.sets().catch_cycle(index_.at(name));

@@ -72,7 +72,7 @@ WalkTrace run_walk(const char* name, std::size_t threads,
     if (tracker.sets().state(i) == FaultState::Caught)
       tr.catch_cycles.push_back(tracker.catch_cycle(i));
     if (tracker.sets().state(i) == FaultState::Hidden)
-      tr.hidden.push_back(tracker.sets().hidden_state(i).chain(0).bits());
+      tr.hidden.push_back(tracker.hidden_state(i).chain(0).bits());
   }
   tr.chain = tracker.chain().bits();
   tr.counters = tracker.profile().counters_only();

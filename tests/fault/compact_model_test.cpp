@@ -172,14 +172,15 @@ TEST(BlockLaneSim, MappedLanesMatchPlainFaultsOnOriginal) {
     s->eval();
   }
 
-  const Block mask = Block::lane_mask(batch);
-  for (std::size_t o = 0; o < graph->num_outputs(); ++o)
-    EXPECT_EQ(ref.output_block(o) & mask, cut.output_block(o) & mask)
-        << "po " << o;
-  for (std::size_t d = 0; d < graph->num_dffs(); ++d)
-    EXPECT_EQ(ref.next_state_block(d) & mask,
-              cut.next_state_block(d) & mask)
-        << "dff " << d;
+  for (std::size_t k = 0; k < batch; ++k) {
+    for (std::size_t o = 0; o < graph->num_outputs(); ++o)
+      EXPECT_EQ(ref.output_block(o).lane(k), cut.output_block(o).lane(k))
+          << "po " << o << " lane " << k;
+    for (std::size_t d = 0; d < graph->num_dffs(); ++d)
+      EXPECT_EQ(ref.next_state_block(d).lane(k),
+                cut.next_state_block(d).lane(k))
+          << "dff " << d << " lane " << k;
+  }
 }
 
 /// BlockLaneSim agrees lane for lane with the naive reference evaluator,

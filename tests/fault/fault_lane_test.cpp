@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "vcomp/fault/block_lane_sim.hpp"
@@ -243,6 +245,93 @@ TEST(DiffSimLanes, PlainFaultsMatchTheirPatternLanes) {
     for (std::size_t k = 0; k < count; ++k)
       EXPECT_EQ(lane_of(eff, k, nl.num_dffs()), want[k])
           << fault_name(nl, block[k]);
+  }
+}
+
+/// \p s with the cells of \p flipped inverted in their lanes: every
+/// lane's full state.
+Stimulus with_flips(Stimulus s,
+                    const std::vector<DiffSim::FlippedCell>& flipped) {
+  for (const auto& fc : flipped) s.state[fc.dff_index] ^= Word{1} << fc.lane;
+  return s;
+}
+
+/// Fault lanes with flipped cells against BlockLaneSim loaded with every
+/// lane's full state; verdicts are relative to the unflipped good machine.
+void expect_flipped_lanes_match(
+    const EvalGraph::Ref& eg, DiffSim& ds, const Stimulus& s,
+    const std::vector<const MappedFault*>& faults,
+    const std::vector<DiffSim::FlippedCell>& flipped) {
+  load(ds, s);
+  const auto want = reference(eg, with_flips(s, flipped), faults, ds);
+  const auto eff = ds.simulate_lanes(faults, flipped);
+  for (std::size_t k = 0; k < faults.size(); ++k)
+    EXPECT_EQ(lane_of(eff, k, eg->num_dffs()), want[k]) << "lane " << k;
+}
+
+// A hidden fault's lane flips the cells where its scan contents differ
+// from the fault-free ones.  Every lane flips q0 or q1 or both, and the
+// faults include q0's output stem (the fault wins over the flipped cell),
+// q0's data pin (it perturbs only what q0 captures) and a branch of q0.
+TEST(DiffSimLanes, FlippedCellsMatchFullPerLaneStates) {
+  const SmallCircuit sc;
+  const auto eg = EvalGraph::compile(sc.nl);
+  DiffSim ds(eg);
+  const std::vector<MappedFault> kinds = {
+      {{{sc.q0, -1}}, 0}, {{{sc.q0, -1}}, 1},  // the flipped stem
+      {{{sc.q0, 0}}, 0},  {{{sc.q0, 0}}, 1},   // its data pin
+      {{{sc.g3, 0}}, 1},                       // a branch of it
+      {{{sc.q1, -1}}, 0}, {{{sc.g1, -1}}, 1},  // elsewhere
+      {{}, 0},                                 // no fault: flips only
+  };
+  std::vector<const MappedFault*> faults;
+  std::vector<DiffSim::FlippedCell> flipped;
+  for (std::uint32_t k = 0; k < 64; ++k) {
+    faults.push_back(&kinds[k % kinds.size()]);
+    const std::uint32_t which = (k / kinds.size()) % 3;  // q0, q1 or both
+    if (which != 1) flipped.push_back({0, k});
+    if (which != 0) flipped.push_back({1, k});
+  }
+  Rng rng(13);
+  for (int trial = 0; trial < 8; ++trial)
+    for (const bool broadcast : {true, false})
+      expect_flipped_lanes_match(eg, ds, random_stimulus(*eg, rng, broadcast),
+                                 faults, flipped);
+}
+
+// Real mapped faults of a compacted circuit in one block, each lane with
+// up to three random flipped cells, as the tracker advances hidden faults.
+TEST(DiffSimLanes, FlippedCellsOnRealFaultsMatchFullPerLaneStates) {
+  const auto nl = netgen::generate("s444");
+  const auto cf = collapsed_fault_list(nl);
+  const CompactModel model(EvalGraph::compile(nl), cf.faults(), true);
+  DiffSim ds(model.graph());
+  Rng rng(21);
+  for (int trial = 0; trial < 8; ++trial) {
+    std::vector<const MappedFault*> faults;
+    std::vector<DiffSim::FlippedCell> flipped;
+    for (std::uint32_t k = 0; k < 64; ++k) {
+      faults.push_back(&model.mapped(rng.below(cf.size())));
+      for (std::uint64_t n = rng.below(4); n-- > 0;)
+        flipped.push_back(
+            {static_cast<std::uint32_t>(rng.below(nl.num_dffs())), k});
+    }
+    // A cell listed twice in one lane is flipped once.
+    std::sort(flipped.begin(), flipped.end(), [](const auto& a, const auto& b) {
+      return std::pair(a.lane, a.dff_index) < std::pair(b.lane, b.dff_index);
+    });
+    flipped.erase(std::unique(flipped.begin(), flipped.end(),
+                              [](const auto& a, const auto& b) {
+                                return a.lane == b.lane &&
+                                       a.dff_index == b.dff_index;
+                              }),
+                  flipped.end());
+    expect_flipped_lanes_match(model.graph(), ds,
+                               random_stimulus(*model.graph(), rng, true),
+                               faults, flipped);
+    expect_flipped_lanes_match(model.graph(), ds,
+                               random_stimulus(*model.graph(), rng, false),
+                               faults, flipped);
   }
 }
 

@@ -74,13 +74,16 @@ TEST(MetricsDeterminism, TrackerWalkSnapshotThreadCountInvariant) {
   EXPECT_GT(one.get("tracker.hidden_advanced"), 0u);
   EXPECT_GT(one.get("diffsim.simulations"), 0u);
   EXPECT_GT(one.get("diffsim.events"), 0u);
-  EXPECT_GT(one.get("blocklanesim.evals"), 0u);
+  // Classify and advance are one fault-lane routine: one lane per fault.
+  EXPECT_EQ(one.get("diffsim.simulations"),
+            one.get("tracker.faults_classified") +
+                one.get("tracker.hidden_advanced"));
   EXPECT_GT(one.get("netgen.circuits"), 0u);
 }
 
 TEST(MetricsDeterminism, DiffSimCountersThreadCountInvariantOnClassify) {
-  // Classify runs one fault-lane pass per fixed 64-fault block of the
-  // uncaught list, and shards take whole blocks, so the diffsim counters
+  // Classify and advance run one fault-lane pass per fixed 64-fault block
+  // of their lists, and shards take whole blocks, so the diffsim counters
   // (events included) cannot depend on how many shards split the list.
   // s1423 classifies thousands of faults per cycle: dozens of blocks.
   obs::set_metrics_enabled(true);
@@ -97,7 +100,8 @@ TEST(MetricsDeterminism, DiffSimCountersThreadCountInvariantOnClassify) {
   EXPECT_GT(one.get("tracker.faults_classified"),
             64u * 4u * one.get("tracker.cycles"));
   EXPECT_EQ(one.get("diffsim.simulations"),
-            one.get("tracker.faults_classified"));
+            one.get("tracker.faults_classified") +
+                one.get("tracker.hidden_advanced"));
 }
 
 TEST(MetricsDeterminism, FullStitchedRunSnapshotThreadCountInvariant) {

@@ -214,6 +214,27 @@ TEST_F(ObsTest, CountersOnlyExcludesTimingsAndSorts) {
   EXPECT_EQ(cs.get("test.m_counter"), 1u);
 }
 
+// A scoped window's view names only what its body touched: a counter
+// registered elsewhere and a histogram's zero minimum are left out, so a
+// result row built from it carries no zero-valued names.
+TEST_F(ObsTest, CountersOnlyDropsZeroValues) {
+  const Counter untouched = counter("test.untouched");
+  (void)untouched;
+  const CounterSet cs = scoped_counters([] {
+    counter("test.touched").inc();
+    histogram("test.zero_min").record(0);
+    histogram("test.zero_min").record(3);
+  });
+  EXPECT_EQ(cs.get("test.touched"), 1u);
+  EXPECT_EQ(cs.get("test.zero_min.count"), 2u);
+  EXPECT_EQ(cs.get("test.zero_min.max"), 3u);
+  for (const auto& [name, value] : cs.values)
+    EXPECT_NE(value, 0u) << name;
+  EXPECT_EQ(Registry::instance().snapshot().counters_only().get(
+                "test.untouched"),
+            0u);
+}
+
 TEST_F(ObsTest, DigestIsStableText) {
   CounterSet cs;
   cs.values = {{"a", 1}, {"b", 2}};

@@ -202,6 +202,20 @@ Bits with_flips(Rng& rng, Bits bits) {
   return bits;
 }
 
+/// The flat positions where two images differ.
+FabricDiff diff_of(const Bits& a, const Bits& b) {
+  FabricDiff d;
+  for (std::uint32_t p = 0; p < a.size(); ++p)
+    if (a[p] != b[p]) d.push_back(p);
+  return d;
+}
+
+Bits flat(const FabricState& fs) {
+  Bits b;
+  fs.flat_bits(b);
+  return b;
+}
+
 // N=1 degeneracy: every FabricState operation must be bit-identical to the
 // single ChainState it wraps, and the fabric catch rule must see exactly
 // the observation difference the chain emits.
@@ -225,7 +239,8 @@ TEST(FabricState, SingleChainMatchesChainState) {
     const Bits in = random_bits(rng, s);
     const auto out = FabricOut::hxor(f, 3);
     const auto single = ScanOutModel::hxor(L, 3);
-    const bool caught = observes_difference(fs_other, fs, f.plan_for(s), out);
+    const bool caught = observes_difference(diff_of(init_other, init), fs,
+                                            f.plan_for(s), out);
     fs.shift(f.plan_for(s), in);
     EXPECT_EQ(caught, cs_other.shift(in, single) != cs.shift(in, single));
     EXPECT_EQ(fs.chain(0), cs);
@@ -271,7 +286,8 @@ TEST(FabricState, ChainsShiftIndependently) {
     const ShiftPlan plan = f.plan_for(s);
     const Bits in = random_bits(rng, s);
     const auto out = FabricOut::hxor(f, 2);
-    const bool caught = observes_difference(fs_other, fs, plan, out);
+    const bool caught =
+        observes_difference(diff_of(init_other, init), fs, plan, out);
     fs.shift(plan, in);
 
     std::size_t off = 0;
@@ -322,14 +338,107 @@ TEST(FabricState, CatchRuleValidatesSizes) {
   Fabric f(nl, 2, PartitionPolicy::RoundRobin);  // lengths 2, 1
   const FabricState a(f);
   const auto out = FabricOut::direct(f);
-  EXPECT_THROW(observes_difference(a, a, ShiftPlan{1}, out),
+  const FabricDiff none;
+  EXPECT_THROW(observes_difference(none, a, ShiftPlan{1}, out),
                vcomp::ContractError);
-  EXPECT_THROW(observes_difference(a, a, ShiftPlan{1, 2}, out),
+  EXPECT_THROW(observes_difference(none, a, ShiftPlan{1, 2}, out),
                vcomp::ContractError);
   const FabricState one_chain(Fabric{nl});
-  EXPECT_THROW(observes_difference(one_chain, a, ShiftPlan{1, 1}, out),
+  EXPECT_THROW(observes_difference(none, one_chain, ShiftPlan{1, 1}, out),
                vcomp::ContractError);
-  EXPECT_FALSE(observes_difference(a, a, ShiftPlan{2, 1}, out));
+  EXPECT_THROW(observes_difference(FabricDiff{3}, a, ShiftPlan{2, 1}, out),
+               vcomp::ContractError);
+  EXPECT_THROW(observes_difference(FabricDiff{2, 0}, a, ShiftPlan{2, 1}, out),
+               vcomp::ContractError);
+  EXPECT_THROW(observes_difference(FabricDiff{1, 1}, a, ShiftPlan{2, 1}, out),
+               vcomp::ContractError);
+  EXPECT_FALSE(observes_difference(none, a, ShiftPlan{2, 1}, out));
+  FabricDiff d = {0, 2};
+  EXPECT_THROW(slide_difference(d, a, ShiftPlan{1, 2}), vcomp::ContractError);
+  EXPECT_THROW(slide_difference(d, one_chain, ShiftPlan{1, 1}),
+               vcomp::ContractError);
+}
+
+// The difference rules against two full fabrics moved by
+// FabricState::shift, over random multi-chain plans in which some chains
+// stay put (plan[c] = 0) and some shift whole (plan[c] = L_c): the slid
+// difference is the difference of the shifted fabrics, and the catch rule
+// fires exactly when some chain's observation streams differ.
+TEST(FabricDiff, SlideAndCatchMatchTwoFullFabrics) {
+  auto nl = netgen::generate("s1423");
+  Rng rng(31);
+  std::size_t caught_runs = 0, missed_runs = 0;
+  for (const std::size_t chains : {1, 3, 5}) {
+    for (const std::size_t taps : {0, 2, 3}) {
+      for (int trial = 0; trial < 40; ++trial) {
+        const Fabric f(nl, chains, PartitionPolicy::SeededRandom,
+                       static_cast<std::uint64_t>(trial));
+        const FabricOut out =
+            taps == 0 ? FabricOut::direct(f) : FabricOut::hxor(f, taps);
+        const Bits good_bits = random_bits(rng, f.total_length());
+        Bits bad_bits = with_flips(rng, good_bits);
+        if (trial % 4 == 0) bad_bits = with_flips(rng, bad_bits);
+        ShiftPlan plan(chains);
+        for (std::size_t c = 0; c < chains; ++c) {
+          const std::size_t len = f.chain_length(c);
+          const std::uint64_t pick = rng.below(4);
+          plan[c] = pick == 0 ? 0 : pick == 1 ? len : rng.below(len + 1);
+        }
+        const Bits in = random_bits(rng, Fabric::plan_total(plan));
+
+        FabricState good(f), bad(f);
+        good.load(good_bits);
+        bad.load(bad_bits);
+        FabricDiff diff = diff_of(bad_bits, good_bits);
+        const bool caught = observes_difference(diff, good, plan, out);
+        bool streams_differ = false;
+        std::size_t off = 0;
+        for (std::size_t c = 0; c < chains; ++c) {
+          const Bits chain_in(in.begin() + static_cast<std::ptrdiff_t>(off),
+                              in.begin() +
+                                  static_cast<std::ptrdiff_t>(off + plan[c]));
+          off += plan[c];
+          ChainState g = good.chain(c), b = bad.chain(c);
+          streams_differ |= g.shift(chain_in, out.chains[c]) !=
+                            b.shift(chain_in, out.chains[c]);
+        }
+        EXPECT_EQ(caught, streams_differ)
+            << chains << " chains, " << taps << " taps, trial " << trial;
+        (caught ? caught_runs : missed_runs) += 1;
+
+        good.shift(plan, in);
+        bad.shift(plan, in);
+        slide_difference(diff, good, plan);
+        EXPECT_EQ(diff, diff_of(flat(bad), flat(good)));
+      }
+    }
+  }
+  EXPECT_GT(caught_runs, 0u);
+  EXPECT_GT(missed_runs, 0u);
+}
+
+// Two differing cells whose horizontal-XOR contributions meet in the same
+// observations cancel there: chain a..f with taps b, d, f and cells a and
+// c differing reads the same values for five cycles and differs only when
+// a reaches f.
+TEST(FabricDiff, HxorContributionsCancel) {
+  const FabricState layout({ChainState(6)});
+  const FabricOut out{{ScanOutModel::hxor(6, 3)}};
+  const FabricDiff a_and_c = {0, 2};
+  for (std::size_t s = 0; s <= 6; ++s) {
+    ChainState good(6), bad(Bits{1, 0, 1, 0, 0, 0});
+    const Bits in(s, 0);
+    const bool streams_differ =
+        good.shift(in, out.chains[0]) != bad.shift(in, out.chains[0]);
+    EXPECT_EQ(observes_difference(a_and_c, layout, ShiftPlan{s}, out),
+              streams_differ)
+        << s << " cycles";
+    EXPECT_EQ(streams_differ, s == 6) << s << " cycles";
+  }
+  // Either cell alone is seen on the second cycle (c under tap d, and a
+  // under tap b).
+  EXPECT_TRUE(observes_difference(FabricDiff{0}, layout, ShiftPlan{2}, out));
+  EXPECT_TRUE(observes_difference(FabricDiff{2}, layout, ShiftPlan{2}, out));
 }
 
 }  // namespace

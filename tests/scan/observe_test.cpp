@@ -13,8 +13,10 @@ using Bits = std::vector<std::uint8_t>;
 /// The catch rule on one chain: a machine holding \p diff against an
 /// all-zero one, observed for \p s shift cycles under \p out.
 bool diff_observable(const Bits& diff, std::size_t s, const ScanOutModel& out) {
-  return observes_difference(FabricState({ChainState(diff)}),
-                             FabricState({ChainState(diff.size())}),
+  FabricDiff cells;
+  for (std::uint32_t p = 0; p < diff.size(); ++p)
+    if (diff[p]) cells.push_back(p);
+  return observes_difference(cells, FabricState({ChainState(diff.size())}),
                              ShiftPlan{s}, FabricOut{{out}});
 }
 

@@ -43,17 +43,6 @@ TEST(Block, LaneAndWordLayout) {
   EXPECT_EQ(Block::fill(false), Block::zero());
 }
 
-TEST(Block, LaneMask) {
-  EXPECT_EQ(Block::lane_mask(0), Block::zero());
-  EXPECT_EQ(Block::lane_mask(kBlockLanes), Block::ones());
-  const Block m = Block::lane_mask(70);
-  for (std::size_t k = 0; k < kBlockLanes; ++k)
-    ASSERT_EQ(m.lane(k), k < 70) << "lane " << k;
-  const Block m64 = Block::lane_mask(64);
-  EXPECT_EQ(m64.w[0], ~std::uint64_t{0});
-  EXPECT_EQ(m64.w[1], 0u);
-}
-
 TEST(Block, BitwiseOperatorsMatchPerWord) {
   Rng rng(7);
   Block a, b;
