@@ -8,6 +8,12 @@
 /// the survivors, then reverse-order static compaction.  The result also
 /// classifies every collapsed fault as detected / redundant / aborted, which
 /// downstream stitching experiments use as the ground-truth detectable set.
+///
+/// Every fault simulation of the flow — the random blocks, the drop after
+/// each PODEM vector (a broadcast stimulus) and first_detections() — is
+/// one DiffSim region call over the open faults (fault_sim.hpp): faults
+/// are carried to their fanout-free regions' roots with the good values,
+/// and only the reached roots are propagated.
 
 #include <cstdint>
 #include <span>
@@ -51,15 +57,16 @@ inline constexpr std::size_t kNoDetection = ~std::size_t{0};
 
 /// Fault dropping over an ordered vector list under full observation:
 /// entry n is the position in \p walk of the first vector that detects
-/// \p faults[n] (kNoDetection if none does).  Runs 64 vectors per
-/// pattern-lane DiffSim pass and stops once every fault is detected, so a
-/// fault is simulated once per pass it is still open in.  Keeping the
-/// vectors that are some fault's first detector is the one-vector-at-a-
-/// time dropping loop's result: reverse-order compaction and the stitch
-/// engine's ex phase both do.  The faults and vectors are those of the
-/// graph \p sims runs on.
+/// \p faults[n] (kNoDetection if none does).  Loads 64 vectors at a time
+/// into pattern lanes, runs one DiffSim region call over the faults still
+/// open, and stops once every fault is detected, so a fault is simulated
+/// once per 64 vectors it is still open in.  Keeping the vectors that are
+/// some fault's first detector is the one-vector-at-a-time dropping
+/// loop's result: reverse-order compaction and the stitch engine's ex
+/// phase both do.  The faults and vectors are those of the graph \p sim
+/// runs on.
 std::vector<std::size_t> first_detections(
-    fault::DiffSimShards& sims, std::span<const TestVector* const> walk,
+    fault::DiffSim& sim, std::span<const TestVector* const> walk,
     std::span<const fault::Fault> faults);
 
 /// Generates a compacted full-scan test set for the collapsed faults.

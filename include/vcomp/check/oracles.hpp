@@ -12,7 +12,9 @@
 ///    the compacted and uncompacted EvalGraph (WordSim values through the
 ///    id remap, DiffSim::simulate vs simulate_mapped, DiffSim's 64-fault
 ///    lane pass vs each fault's simulate_mapped under a broadcast and a
-///    per-lane stimulus, BlockLaneSim with plain vs mapped faults) and
+///    per-lane stimulus, DiffSim's region call vs every fault's own
+///    simulate / simulate_mapped pass in both layouts, BlockLaneSim with
+///    plain vs mapped faults) and
 ///    through every available SIMD dispatch width (a fault-free
 ///    BlockLaneSim, scalar vs AVX2 vs AVX-512); on top,
 ///    the full stitched tracker is driven twice — on the compacted model
@@ -57,7 +59,8 @@ namespace vcomp::check {
 
 struct Failure {
   std::string oracle;  ///< "word-sim", "ternary-sim", "diff-sim",
-                       ///< "block-lane-sim", "compact", "simd-dispatch",
+                       ///< "block-lane-sim", "compact", "region",
+                       ///< "simd-dispatch",
                        ///< "flush", "atpg", "adi", "tracker",
                        ///< "thread-identity", "exception"
   std::string detail;  ///< human-readable mismatch description
@@ -97,8 +100,8 @@ std::optional<Failure> check_atpg(const Case& c, std::uint64_t seed,
                                   std::size_t rounds);
 
 /// ADI oracle: the word-parallel Accidental Detection Index computation
-/// (core::adi_counts, 64 vectors per pattern-parallel pass, sharded over
-/// the thread pool) vs a naive O(vectors × faults) reference that runs one
+/// (core::adi_counts, one DiffSim region call per 64 vectors) vs a naive
+/// O(vectors × faults) reference that runs one
 /// ref_word_eval / ref_faulty_eval pass per (vector, fault) pair.  The
 /// vector pool is the case's schedule (full load, stitched vectors, extra
 /// full vectors) plus \p rounds random vectors drawn from \p seed; every

@@ -38,10 +38,10 @@ std::string to_string(SelectionPolicy p);
 
 /// Per-fault Accidental Detection Index over \p vectors: adi[i] = number of
 /// vectors whose response differs from the fault-free one under fault i (at
-/// a primary output or a captured next-state).  Computed 64 vectors per
-/// pattern-parallel pass, sharded over the thread pool; counts are a pure
-/// function of (graph, faults, vectors), byte-identical for every
-/// VCOMP_THREADS value.
+/// a primary output or a captured next-state).  Computed 64 vectors at a
+/// time in pattern lanes, one DiffSim region call over every fault per 64
+/// vectors; counts are a pure function of (graph, faults, vectors),
+/// byte-identical for every VCOMP_THREADS value.
 std::vector<std::uint32_t> adi_counts(
     const sim::EvalGraph::Ref& graph, const std::vector<fault::Fault>& faults,
     const std::vector<atpg::TestVector>& vectors);

@@ -222,16 +222,14 @@ class StitchEngine {
   std::shared_ptr<const tmeas::Scoap> scoap_;      // shared, immutable
   std::shared_ptr<const fault::CompactModel> compact_;  // handed to tracker
   std::unique_ptr<atpg::Engine> engine_;  // constrained-ATPG backend
-  fault::DiffSimShards ssims_; // per-shard clones: candidate scoring + the
-                               // ex-phase fault-dropping scans
+  fault::DiffSim sim_;  // candidate scoring + the ex-phase drop
   Rng rng_;
 
   // Per-cycle scratch reused across generate() calls (hot path: one call
   // per stitched cycle; these would otherwise allocate every cycle).
   std::vector<sim::Word> pi_w_, ppi_w_;           // candidate stimulus words
   std::vector<std::uint8_t> observed_pos_;        // flat-position visibility
-  std::vector<std::size_t> scored_;               // sampled uncaught faults
-  std::vector<std::vector<std::uint32_t>> shard_scores_;
+  std::vector<fault::Fault> scored_;              // sampled uncaught faults
 
   std::vector<std::size_t> order_;       // target walk order
   std::vector<std::uint8_t> targetable_; // baseline-detected faults

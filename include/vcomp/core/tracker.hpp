@@ -28,13 +28,16 @@
 /// quickstart example drive it with the paper's scripted vectors to
 /// reproduce Table 1 event by event.
 ///
-/// Classify (the uncaught list) and advance (the hidden faults that
-/// survived the shift) are one routine: DiffSim fault-lane passes of 64
-/// faults, in fixed blocks of the list, under the vector's broadcast
-/// stimulus, a hidden fault's lane also flipping the cells of its
-/// difference.  The blocks are sharded over the process thread pool, and a
-/// serial merge applies the per-fault verdicts in list order.  Verdicts
-/// are pure functions of the fault index, so every thread count produces
+/// Classify (the uncaught list) is one DiffSim region call under the
+/// vector's broadcast stimulus: each fault is carried to its fanout-free
+/// region's root, and only the reached roots are propagated, 64 per pass
+/// (fault_sim.hpp).  Advance (the hidden faults that survived the shift)
+/// runs DiffSim fault-lane passes of 64 faults, in fixed blocks of the
+/// list, a hidden fault's lane also flipping the cells of its difference;
+/// the blocks are sharded over the process thread pool.  One serial merge
+/// applies both phases' per-fault verdicts in list order.  Verdicts are
+/// pure functions of the fault index, and the region call and the lane
+/// blocks do not depend on the shard count, so every thread count produces
 /// byte-identical CycleStats, FaultSets, schedules and counters (checked
 /// by tests/core/tracker_parallel_test.cpp).
 
@@ -210,13 +213,16 @@ class StitchTracker {
   /// Catches every hidden fault whose difference \p plan's observations
   /// show (the one catch rule) and leaves the survivors in advance_.
   std::size_t catch_observed(const scan::ShiftPlan& plan);
-  /// Classify's and advance's routine: runs \p work (faults of f_u or
-  /// f_h) against the committed vector \p v and applies the verdicts.  A
-  /// PO difference means caught; otherwise the new difference is the
-  /// captured-state flips, plus the old one under VXor capture, and an
-  /// empty one means uncaught.
-  void run_lanes(const atpg::TestVector& v,
-                 std::span<const std::uint32_t> work, CycleStats& st);
+  /// Classify's verdicts: one DiffSim region call over \p work (faults of
+  /// f_u) against the committed vector.
+  void classify_regions(std::span<const std::uint32_t> work);
+  /// Advance's verdicts: fault-lane passes over advance_ (faults of f_h)
+  /// under \p v, each lane flipping the cells of its fault's difference.
+  void advance_lanes(const atpg::TestVector& v);
+  /// Applies the verdicts of \p work.  A PO difference means caught;
+  /// otherwise the new difference is the captured-state flips, plus the
+  /// old one under VXor capture, and an empty one means uncaught.
+  void apply_verdicts(std::span<const std::uint32_t> work, CycleStats& st);
 
   const netlist::Netlist* nl_;
   const fault::CollapsedFaults* faults_;

@@ -17,6 +17,19 @@
 ///    union of their cones.  A lane may also flip flip-flop cells, which
 ///    makes it a hidden fault's faulty machine.
 ///
+/// simulate_regions() answers a whole fault list at once, as HOPE does: a
+/// fault's difference can leave its fanout-free region (EvalGraph) only
+/// through the region's root, so each fault is carried to its root with
+/// the good values alone — its activation lanes ANDed with the sensitization
+/// of every gate on the path (the gate evaluated with that pin inverted) —
+/// and only the roots are propagated: each reached root once, flipped in
+/// the union of its faults' lanes under a pattern stimulus, or one root per
+/// lane, 64 per pass, under a broadcast one.  A fault whose lanes die in
+/// its region needs no pass; a flip-flop data-pin fault is settled from its
+/// captured bit; a mapped fault with several sites keeps a pass of its own
+/// (a pattern-lane pass, or fault lanes 64 at a time under a broadcast
+/// stimulus).
+///
 /// Both layouts run one core: each fault site becomes a lane-masked force
 /// (stem, combinational pin or flip-flop data pin), a forced gate is
 /// scheduled like any other event and re-evaluated with its forces, and a
@@ -34,9 +47,10 @@
 /// while the stitching flow only observes POs plus the shifted-out window.
 ///
 /// Structure (levels, observation points, DFF feeder lists, CSR fanin /
-/// fanout) comes from the shared EvalGraph; per-instance state is only the
-/// mutable delta/queue scratch and the pass's force list, so per-shard
-/// clones are cheap.
+/// fanout, fanout-free regions) comes from the shared EvalGraph;
+/// per-instance state is only the mutable delta/queue scratch, the pass's
+/// force list and the region call's memo (sized on its first call), so
+/// per-shard clones are cheap.
 
 #include <cstdint>
 #include <memory>
@@ -97,20 +111,48 @@ class DiffSim {
   /// the MappedFault was built for.
   Effect simulate_mapped(const MappedFault& mf);
 
-  /// Fault lanes: lane k carries \p faults[k] (at most kLanes; lanes past
-  /// the end carry no fault and report no difference).  Counts one
-  /// diffsim.simulations per fault.
-  Effect simulate_lanes(std::span<const Fault> faults);
   /// A flip-flop cell holding the complement of its good value in a lane.
   struct FlippedCell {
     std::uint32_t dff_index;  ///< index into netlist.dffs()
     std::uint32_t lane;
   };
-  /// Fault lanes for compacted-graph faults: lane k carries *faults[k],
-  /// and the cells in \p flipped are inverted in their lanes.  A fault
-  /// forcing a flipped flip-flop's output stem wins in its lane.
+  /// Fault lanes: lane k carries *faults[k] (at most kLanes; lanes past
+  /// the end carry no fault and report no difference), and the cells in
+  /// \p flipped are inverted in their lanes.  A fault forcing a flipped
+  /// flip-flop's output stem wins in its lane.  Counts one
+  /// diffsim.simulations per fault.
   Effect simulate_lanes(std::span<const MappedFault* const> faults,
                         std::span<const FlippedCell> flipped = {});
+
+  /// Region call: calls \p sink(n, effect) once for every fault n of
+  /// \p faults with the Effect simulate() (simulate_mapped() for a mapped
+  /// fault) would report against the committed good values: the same
+  /// words in every lane, though ppo_diffs may list the flip-flops in
+  /// another order.  The faults that need no pass come first, then those
+  /// of each pass in turn, in list order within a pass; an effect is valid
+  /// during its sink call only.  Counts one diffsim.simulations per fault,
+  /// diffsim.region_roots per root lane simulated and
+  /// diffsim.region_blocked per fault whose difference stops inside its
+  /// region.
+  template <typename Sink>
+  void simulate_regions(std::span<const Fault> faults, Sink&& sink) {
+    trace_regions(faults);
+    report_regions(faults, sink);
+  }
+  template <typename Sink>
+  void simulate_regions(std::span<const MappedFault* const> faults,
+                        Sink&& sink) {
+    trace_regions(faults);
+    report_regions(faults, sink);
+  }
+  /// The same over faults \p ids of \p model (n indexes \p ids).
+  template <typename Sink>
+  void simulate_regions(const CompactModel& model,
+                        std::span<const std::uint32_t> ids, Sink&& sink) {
+    const ModelFaults faults{&model, ids};
+    trace_regions(faults);
+    report_regions(faults, sink);
+  }
 
  private:
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
@@ -138,8 +180,71 @@ class DiffSim {
   void add_fault(const MappedFault& mf, sim::Word mask);
   /// Runs one pass over the forces added since the last one: seeds every
   /// forced gate, propagates, and harvests the observation points.
-  /// \p faults feeds the simulations counter.
-  Effect run_pass(std::size_t faults);
+  Effect run_pass();
+
+  /// A fault of a region call with an effect: \c lanes of slot \c slot,
+  /// or, for a flip-flop data-pin fault, \c lanes on flip-flop
+  /// \c slot & ~kCaptured.  Faults without one are marked in answered_
+  /// only.
+  static constexpr std::uint32_t kCaptured = std::uint32_t{1} << 31;
+  struct Answer {
+    sim::Word lanes = 0;
+    std::uint32_t fault = 0;
+    std::uint32_t slot = 0;
+  };
+  /// A pass's answer for one reached root (slots 0 .. roots_.size()-1,
+  /// in the order the trace reached them) or one multi-site fault (the
+  /// slots after), with its ppo entries at slot_ppo_[begin, end) while its
+  /// wave is out.  \c lanes is the union of the lanes its faults read.
+  struct Slot {
+    sim::Word po = 0;
+    sim::Word lanes = 0;
+    std::uint32_t begin = 0, end = 0;
+  };
+  /// A region call's list of model faults, indexed like a span.
+  struct ModelFaults {
+    const CompactModel* model;
+    std::span<const std::uint32_t> ids;
+    std::size_t size() const { return ids.size(); }
+    const MappedFault* operator[](std::size_t n) const {
+      return &model->mapped(ids[n]);
+    }
+  };
+  /// Traces every fault of \p faults (a span of faults or ModelFaults) to
+  /// its region's root and groups the answered faults by slot; the first
+  /// wave is the data-pin faults.
+  template <typename List>
+  void trace_regions(const List& faults);
+  /// Reports the faults without an effect, then every wave.
+  template <typename List, typename Sink>
+  void report_regions(const List& faults, Sink& sink) {
+    for (std::size_t n = 0; n < faults.size(); ++n)
+      if (answered_[n] == 0) sink(n, Effect{});
+    do
+      for (std::uint32_t i : wave_) {
+        const Answer& a = answers_[i];
+        sink(std::size_t{a.fault}, effect_of(a));
+      }
+    while (next_wave(faults));
+  }
+  /// Runs the next pass (one root or multi-site fault under a pattern
+  /// stimulus, up to 64 under a broadcast one) and makes its faults the
+  /// wave; false when every slot is done.
+  template <typename List>
+  bool next_wave(const List& faults);
+  /// An answered fault's effect, read from its slot.
+  Effect effect_of(const Answer& a);
+  /// Lanes where inverting pin \p pin of gate \p g inverts g's output.
+  sim::Word pin_sensitivity(netlist::GateId g, std::uint32_t pin) const;
+  /// Lanes where flipping interior gate \p g flips its region's root,
+  /// memoized for the call.
+  sim::Word path_lanes(netlist::GateId g);
+  /// Stores \p eff as slot \p slot (a pattern pass).
+  void keep_pass(std::uint32_t slot, const Effect& eff);
+  /// Stores lane k of \p eff as slot \p first + k (a broadcast pass),
+  /// expanding its bits to whole words.
+  void split_lanes(const Effect& eff, std::uint32_t first,
+                   std::size_t count);
   void reset_deltas();
   void schedule(netlist::GateId g);
   void set_origin(netlist::GateId g, sim::Word d);
@@ -171,6 +276,33 @@ class DiffSim {
   std::vector<std::uint32_t> force_slot_;
 
   std::vector<PpoDiff> ppo_out_;
+
+  // Region-call state.  A gate's memo is this call's when its stamp is
+  // stamp_: an interior gate's path_lanes(), a reached root's slot.  Sized
+  // on the first region call.
+  struct Memo {
+    std::uint32_t stamp = 0;
+    std::uint32_t slot = 0;
+    sim::Word lanes = 0;
+  };
+  std::uint32_t stamp_ = 0;
+  std::vector<Memo> memo_;
+  std::vector<netlist::GateId> chain_;
+  std::vector<std::uint8_t> answered_;  // per fault: has an Answer
+  std::vector<Answer> answers_;
+  std::vector<Slot> slots_;
+  std::vector<netlist::GateId> roots_;  // the root of slot k
+  std::vector<std::uint32_t> multi_;    // the fault of slot roots_.size()+k
+  // The answers grouped for reporting, as indices into answers_: the
+  // data-pin faults, then slot by slot; slot k's answers sit at
+  // by_slot_[slot_first_[k], slot_first_[k+1]).
+  std::vector<std::uint32_t> by_slot_;
+  std::vector<std::uint32_t> slot_first_;
+  std::span<const std::uint32_t> wave_;
+  std::uint32_t next_slot_ = 0;
+  bool broadcast_ = false;
+  std::vector<PpoDiff> slot_ppo_;
+  std::vector<PpoDiff> masked_;
 };
 
 /// Per-shard DiffSim instances for data-parallel fault scans: each shard of

@@ -70,11 +70,16 @@ class ArtifactRegistry {
   /// Entries still being built are never evicted.
   explicit ArtifactRegistry(std::size_t budget = 0);
 
+  /// Checks a job against the circuit's netlist; throws to reject it.
+  using NetlistCheck = std::function<void(const netlist::Netlist&)>;
+
   /// Resolves a circuit spec through serve::load_circuit (which throws
   /// InputError on a bad circuit).  Spec → hash resolutions are memoized
   /// so a cached gen: circuit is not regenerated just to recompute its
-  /// hash.
-  LabRef lab_for_spec(const std::string& spec, bool full_scale);
+  /// hash.  \p check, when given, sees the netlist before any lab is built
+  /// or fetched, so a job it rejects costs no baseline ATPG.
+  LabRef lab_for_spec(const std::string& spec, bool full_scale,
+                      const NetlistCheck& check = {});
 
   /// Registers an already-parsed netlist (e.g. from a test).
   LabRef lab_for_netlist(std::string name, netlist::Netlist nl);
@@ -83,6 +88,8 @@ class ArtifactRegistry {
   std::size_t size() const;
 
  private:
+  /// The lab cached under \p h, waiting for an in-flight build; on a miss,
+  /// builds it with \p build, or returns nullptr when \p build is empty.
   LabRef get_or_build(const NetlistHash& h,
                       const std::function<LabRef()>& build);
   void evict_for_insert_locked();

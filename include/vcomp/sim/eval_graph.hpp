@@ -18,12 +18,14 @@
 ///    and levelized event propagation;
 ///  * shared per-gate metadata computed once and reused by every engine:
 ///    gate type, combinational level, is-primary-output flag, DFF index of
-///    DFF gates, and the CSR list of flip-flops each signal feeds.
+///    DFF gates, and the CSR list of flip-flops each signal feeds;
+///  * fanout-free regions: each gate's one reader pin when it is interior
+///    to a region, and the region's root (see region_root()).
 ///
 /// An EvalGraph is immutable after construction and therefore freely
 /// shared: StitchEngine compiles one per circuit and hands the same Ref to
-/// SCOAP, PODEM, the tracker and every per-shard scoring simulator, instead
-/// of each of them re-deriving private copies of the same structure.
+/// SCOAP, PODEM, the tracker and its scoring simulator, instead of each of
+/// them re-deriving private copies of the same structure.
 
 #include <cstdint>
 #include <memory>
@@ -83,6 +85,31 @@ class EvalGraph {
   const netlist::GateId* fanin_ids() const { return fanin_ids_.data(); }
   /// @}
 
+  /// \name Fanout-free regions
+  /// A gate is *interior* when exactly one gate pin reads it (a gate read
+  /// on two pins of one gate has two readers), it is not a primary output,
+  /// and that pin is not a flip-flop's data pin.  A difference on an
+  /// interior gate can leave it only through that pin, so it reaches the
+  /// rest of the circuit only through the gate's region root: the first
+  /// non-interior gate down the chain of readers.  A non-interior gate is
+  /// its own root.  Sources (Input, Dff) are classified like any gate.
+  /// @{
+  bool interior(netlist::GateId g) const {
+    return regions_[g].reader != netlist::kNoGate;
+  }
+  netlist::GateId region_root(netlist::GateId g) const {
+    return regions_[g].root;
+  }
+  /// The gate reading interior gate \p g (kNoGate for a root).
+  netlist::GateId region_reader(netlist::GateId g) const {
+    return regions_[g].reader;
+  }
+  /// The pin of region_reader(g) that reads \p g (interior gates only).
+  std::uint32_t region_pin(netlist::GateId g) const {
+    return regions_[g].pin;
+  }
+  /// @}
+
   /// \name Level-partitioned schedule
   /// @{
 
@@ -138,6 +165,14 @@ class EvalGraph {
   std::vector<std::uint32_t> level_off_;
 
   std::vector<netlist::GateId> dff_input_;
+
+  // One record per gate: a trace reads all three fields together.
+  struct Region {
+    netlist::GateId reader = netlist::kNoGate;
+    std::uint32_t pin = 0;
+    netlist::GateId root = netlist::kNoGate;
+  };
+  std::vector<Region> regions_;
 };
 
 }  // namespace vcomp::sim

@@ -1,43 +1,40 @@
 #include "vcomp/atpg/test_set.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 
 #include "vcomp/tmeas/scoap.hpp"
 #include "vcomp/util/assert.hpp"
-#include "vcomp/util/parallel.hpp"
 
 namespace vcomp::atpg {
 
 using fault::DiffSim;
-using fault::DiffSimShards;
 using fault::Fault;
 using sim::Word;
 
 namespace {
 
-/// Loads one fully specified vector into all 64 lanes of the good sim.
-void load_vector(DiffSim& sim, const netlist::Netlist& nl,
-                 const TestVector& v) {
-  for (std::size_t i = 0; i < nl.num_inputs(); ++i)
-    sim.good().set_input(i, v.pi[i] ? ~Word{0} : Word{0});
-  for (std::size_t i = 0; i < nl.num_dffs(); ++i)
-    sim.good().set_state(i, v.ppi[i] ? ~Word{0} : Word{0});
+/// Loads stimulus words into every lane of the good machine and evaluates
+/// it.
+void load_words(DiffSim& sim, std::span<const Word> pi,
+                std::span<const Word> ppi) {
+  for (std::size_t i = 0; i < pi.size(); ++i) sim.good().set_input(i, pi[i]);
+  for (std::size_t i = 0; i < ppi.size(); ++i) sim.good().set_state(i, ppi[i]);
   sim.commit_good();
 }
 
 }  // namespace
 
 std::vector<std::size_t> first_detections(
-    fault::DiffSimShards& sims, std::span<const TestVector* const> walk,
+    DiffSim& sim, std::span<const TestVector* const> walk,
     std::span<const Fault> faults) {
   constexpr std::size_t kLanes = DiffSim::kLanes;
   std::vector<std::size_t> first(faults.size(), kNoDetection);
   std::vector<std::size_t> open(faults.size());
   for (std::size_t n = 0; n < open.size(); ++n) open[n] = n;
-  std::vector<Word> pi_words(sims.graph()->num_inputs());
-  std::vector<Word> ppi_words(sims.graph()->num_dffs());
+  std::vector<Fault> open_faults;
+  std::vector<Word> pi_words(sim.graph()->num_inputs());
+  std::vector<Word> ppi_words(sim.graph()->num_dffs());
   for (std::size_t base = 0; base < walk.size() && !open.empty();
        base += kLanes) {
     // Pattern lanes: lane k holds walk[base + k].
@@ -51,22 +48,17 @@ std::vector<std::size_t> first_detections(
       for (std::size_t i = 0; i < ppi_words.size(); ++i)
         ppi_words[i] |= Word(v.ppi[i] != 0) << k;
     }
+    load_words(sim, pi_words, ppi_words);
     const Word active = count == kLanes ? ~Word{0} : (Word{1} << count) - 1;
-    // Each open fault is one pattern-lane pass; its lowest detecting lane
-    // is its first detector.  Shards write disjoint first[] entries.
-    util::parallel_for_shards(
-        open.size(), sims.max_shards(),
-        [&](std::size_t shard, std::size_t b, std::size_t e) {
-          DiffSim& s = sims.at(shard);
-          for (std::size_t i = 0; i < pi_words.size(); ++i)
-            s.good().set_input(i, pi_words[i]);
-          for (std::size_t i = 0; i < ppi_words.size(); ++i)
-            s.good().set_state(i, ppi_words[i]);
-          s.commit_good();
-          for (std::size_t n = b; n < e; ++n) {
-            const Word hit = s.simulate(faults[open[n]]).any() & active;
-            if (hit != 0) first[open[n]] = base + std::countr_zero(hit);
-          }
+    // One region call over the open faults; a fault's lowest detecting
+    // lane is its first detector.
+    open_faults.clear();
+    for (std::size_t n : open) open_faults.push_back(faults[n]);
+    sim.simulate_regions(
+        std::span<const Fault>(open_faults),
+        [&](std::size_t n, const DiffSim::Effect& eff) {
+          const Word hit = eff.any() & active;
+          if (hit != 0) first[open[n]] = base + std::countr_zero(hit);
         });
     std::erase_if(open,
                   [&](std::size_t n) { return first[n] != kNoDetection; });
@@ -80,14 +72,13 @@ TestSetResult generate_full_scan_tests(const netlist::Netlist& nl,
   TestSetResult result;
   result.classes.assign(faults.size(), FaultClass::Aborted);
 
-  // Per-fault simulation dominates this function and every fault is
-  // independent, so the bulk scans below are sharded over the thread pool
-  // with one private DiffSim per shard.  All merges are index-ordered (or
-  // write disjoint flags), so the result is bit-identical to the serial
-  // run for any VCOMP_THREADS.  One compiled graph backs every shard and
-  // the deterministic-phase engines below.
+  // Every fault simulation below is a DiffSim region call on one engine
+  // (each call carries the listed faults to their fanout-free regions'
+  // roots and propagates only the roots), so results and counters cannot
+  // depend on the thread count.  One compiled graph backs it and the
+  // deterministic-phase engines.
   const auto eg = sim::EvalGraph::compile(nl);
-  DiffSimShards sims(eg);
+  DiffSim sim(eg);
   Rng rng(options.seed);
   std::vector<std::uint8_t> detected(faults.size(), 0);
 
@@ -98,27 +89,27 @@ TestSetResult generate_full_scan_tests(const netlist::Netlist& nl,
   std::size_t idle = 0;
   std::vector<Word> pi_words(npi), ppi_words(nff);
   std::vector<Word> det_all(faults.size(), 0);
+  std::vector<std::size_t> open;
+  std::vector<Fault> open_faults;
   for (std::size_t block = 0;
        options.random_idle_blocks > 0 && block < options.max_random_blocks &&
        idle < options.random_idle_blocks;
        ++block) {
-    // Stimulus words are drawn serially (one RNG stream, unchanged from the
-    // serial flow); only the per-fault detection scan fans out.
     for (std::size_t i = 0; i < npi; ++i) pi_words[i] = rng.next();
     for (std::size_t i = 0; i < nff; ++i) ppi_words[i] = rng.next();
-
-    util::parallel_for_shards(
-        faults.size(), sims.max_shards(),
-        [&](std::size_t shard, std::size_t b, std::size_t e) {
-          DiffSim& s = sims.at(shard);
-          for (std::size_t i = 0; i < npi; ++i)
-            s.good().set_input(i, pi_words[i]);
-          for (std::size_t i = 0; i < nff; ++i)
-            s.good().set_state(i, ppi_words[i]);
-          s.commit_good();
-          for (std::size_t fi = b; fi < e; ++fi)
-            det_all[fi] = detected[fi] ? 0 : s.simulate(faults[fi]).any();
-        });
+    load_words(sim, pi_words, ppi_words);
+    open.clear();
+    open_faults.clear();
+    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+      det_all[fi] = 0;
+      if (detected[fi]) continue;
+      open.push_back(fi);
+      open_faults.push_back(faults[fi]);
+    }
+    sim.simulate_regions(std::span<const Fault>(open_faults),
+                         [&](std::size_t n, const DiffSim::Effect& eff) {
+                           det_all[open[n]] = eff.any();
+                         });
 
     // Greedy set cover within the block: keep the fewest patterns that
     // still detect every detectable fault (ATALANTA-grade compactness is
@@ -171,7 +162,6 @@ TestSetResult generate_full_scan_tests(const netlist::Netlist& nl,
   // ---- Deterministic phase --------------------------------------------
   tmeas::Scoap scoap(*eg);
   Podem podem(eg, scoap);
-  std::vector<std::size_t> open;
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {
     if (detected[fi]) continue;
     const auto res = podem.generate(faults[fi], nullptr, options.podem);
@@ -182,31 +172,24 @@ TestSetResult generate_full_scan_tests(const netlist::Netlist& nl,
     if (res.status == PodemStatus::Aborted) continue;
 
     TestVector v = fill_cube(res.cube, FillMode::Random, rng);
-    // Fault-dropping simulation of the new vector: one fault-lane pass per
-    // fixed 64-fault block of the still-open faults, shards taking whole
-    // blocks.  Shards write disjoint detected[] entries, so the flags
-    // after the scan equal the serial ones.
+    // Fault-dropping simulation of the new vector: one region call over
+    // the still-open faults under its broadcast stimulus.
     open.clear();
+    open_faults.clear();
     for (std::size_t fj = fi; fj < faults.size(); ++fj)
-      if (!detected[fj] && result.classes[fj] != FaultClass::Redundant)
+      if (!detected[fj] && result.classes[fj] != FaultClass::Redundant) {
         open.push_back(fj);
-    constexpr std::size_t kLanes = DiffSim::kLanes;
-    util::parallel_for_shards(
-        (open.size() + kLanes - 1) / kLanes, sims.max_shards(),
-        [&](std::size_t shard, std::size_t b, std::size_t e) {
-          DiffSim& s = sims.at(shard);
-          load_vector(s, nl, v);
-          std::array<Fault, kLanes> lane_faults;
-          for (std::size_t blk = b; blk < e; ++blk) {
-            const std::size_t base = blk * kLanes;
-            const std::size_t count = std::min(kLanes, open.size() - base);
-            for (std::size_t k = 0; k < count; ++k)
-              lane_faults[k] = faults[open[base + k]];
-            for (Word hit = s.simulate_lanes({lane_faults.data(), count}).any();
-                 hit != 0; hit &= hit - 1)
-              detected[open[base + std::countr_zero(hit)]] = 1;
-          }
-        });
+        open_faults.push_back(faults[fj]);
+      }
+    for (std::size_t i = 0; i < npi; ++i)
+      pi_words[i] = v.pi[i] ? ~Word{0} : Word{0};
+    for (std::size_t i = 0; i < nff; ++i)
+      ppi_words[i] = v.ppi[i] ? ~Word{0} : Word{0};
+    load_words(sim, pi_words, ppi_words);
+    sim.simulate_regions(std::span<const Fault>(open_faults),
+                         [&](std::size_t n, const DiffSim::Effect& eff) {
+                           if (eff.any() != 0) detected[open[n]] = 1;
+                         });
     VCOMP_ENSURE(detected[fi], "PODEM vector failed to detect its target");
     result.vectors.push_back(std::move(v));
   }
@@ -222,7 +205,7 @@ TestSetResult generate_full_scan_tests(const netlist::Netlist& nl,
     std::vector<Fault> covered;
     for (std::size_t fi = 0; fi < faults.size(); ++fi)
       if (detected[fi]) covered.push_back(faults[fi]);
-    const auto first = first_detections(sims, walk, covered);
+    const auto first = first_detections(sim, walk, covered);
     std::vector<std::uint8_t> keep(walk.size(), 0);
     for (std::size_t w : first) {
       // Compaction must not lose coverage.

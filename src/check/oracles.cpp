@@ -174,6 +174,7 @@ std::optional<Failure> simulators_round(const Case& c,
 // ---- compaction / dispatch oracles ----------------------------------------
 
 constexpr std::uint64_t kCompactSalt = 0xc0a1e5cedc0de5ULL;
+constexpr std::uint64_t kRegionSalt = 0x2e9105f1a75a17ULL;
 
 /// A fault effect's ppo diffs keyed by flip-flop.  A DiffSim pass reports
 /// one nonzero entry per flip-flop, in the order the pass touched them,
@@ -320,6 +321,60 @@ std::optional<Failure> compaction_round(const Case& c,
         return fail("compact",
                     "block-lane next-state differs for mapped " +
                         fault::fault_name(nl, f));
+  }
+  return std::nullopt;
+}
+
+/// One stimulus round of the region oracle: DiffSim::simulate_regions over
+/// every fault of the case must report each fault's own pattern-lane pass,
+/// simulate() for the plain faults on the original graph and
+/// simulate_mapped() for the mapped faults on the compacted one, under
+/// per-lane patterns and under a broadcast vector.
+std::optional<Failure> region_round(const Case& c,
+                                    const sim::EvalGraph::Ref& graph,
+                                    const fault::CompactModel& model,
+                                    Rng& rng) {
+  const Netlist& nl = c.netlist;
+  std::vector<const fault::MappedFault*> mapped;
+  for (std::size_t i = 0; i < c.faults.size(); ++i)
+    mapped.push_back(&model.mapped(i));
+  fault::DiffSim dorig(graph), dcomp(model.graph());
+  std::vector<Word> po(c.faults.size());
+  std::vector<std::map<std::uint32_t, Word>> ppo(c.faults.size());
+  auto keep = [&](std::size_t n, const fault::DiffSim::Effect& eff) {
+    po[n] = eff.po_any;
+    ppo[n] = ppo_map(eff);
+  };
+  for (const bool broadcast : {false, true}) {
+    const char* layout = broadcast ? " (broadcast stimulus)" : " (patterns)";
+    for (std::size_t i = 0; i < nl.num_inputs(); ++i) {
+      const Word w = broadcast ? (rng.bit() ? ~Word{0} : Word{0}) : rng.next();
+      dorig.good().set_input(i, w);
+      dcomp.good().set_input(i, w);
+    }
+    for (std::size_t i = 0; i < nl.num_dffs(); ++i) {
+      const Word w = broadcast ? (rng.bit() ? ~Word{0} : Word{0}) : rng.next();
+      dorig.good().set_state(i, w);
+      dcomp.good().set_state(i, w);
+    }
+    dorig.commit_good();
+    dcomp.commit_good();
+    dorig.simulate_regions(std::span<const Fault>(c.faults.faults()), keep);
+    for (std::size_t n = 0; n < c.faults.size(); ++n) {
+      const auto want = dorig.simulate(c.faults[n]);
+      if (po[n] != want.po_any || ppo[n] != ppo_map(want))
+        return fail("region", "region call differs from simulate for " +
+                                  fault::fault_name(nl, c.faults[n]) + layout);
+    }
+    dcomp.simulate_regions(std::span<const fault::MappedFault* const>(mapped),
+                           keep);
+    for (std::size_t n = 0; n < c.faults.size(); ++n) {
+      const auto want = dcomp.simulate_mapped(*mapped[n]);
+      if (po[n] != want.po_any || ppo[n] != ppo_map(want))
+        return fail("region",
+                    "region call differs from simulate_mapped for mapped " +
+                        fault::fault_name(nl, c.faults[n]) + layout);
+    }
   }
   return std::nullopt;
 }
@@ -708,9 +763,13 @@ std::optional<Failure> check_compaction(const Case& c,
   const auto graph = sim::EvalGraph::compile(c.netlist);
   const fault::CompactModel model(graph, c.faults.faults(), /*enable=*/true);
   Rng rng(stimulus_seed);
+  // The region rounds draw from their own stream, so the other rounds see
+  // the stimuli they always did.
+  Rng region_rng(stimulus_seed ^ util::splitmix64(kRegionSalt));
   for (std::size_t round = 0; round < rounds; ++round) {
     auto f = compaction_round(c, graph, model, rng);
     if (!f) f = dispatch_round(c, graph, rng);
+    if (!f) f = region_round(c, graph, model, region_rng);
     if (f) {
       f->detail = "round " + std::to_string(round) + ": " + f->detail;
       return f;

@@ -7,7 +7,6 @@
 #include "vcomp/fault/fault_sim.hpp"
 #include "vcomp/obs/obs.hpp"
 #include "vcomp/util/assert.hpp"
-#include "vcomp/util/parallel.hpp"
 
 namespace vcomp::core {
 
@@ -31,39 +30,31 @@ std::vector<std::uint32_t> adi_counts(
   const std::size_t npi = nl.num_inputs();
   const std::size_t nff = nl.num_dffs();
 
-  fault::DiffSimShards sims(graph);
-  std::vector<sim::Word> pi_w(npi), ppi_w(nff);
+  // One region call per 64 vectors over every fault; the totals are
+  // pure functions of the fault index.
+  fault::DiffSim sim(graph);
   for (std::size_t base = 0; base < vectors.size(); base += 64) {
     const std::size_t lanes = std::min<std::size_t>(64, vectors.size() - base);
     for (std::size_t i = 0; i < npi; ++i) {
       sim::Word w = 0;
       for (std::size_t k = 0; k < lanes; ++k)
         if (vectors[base + k].pi[i]) w |= sim::Word{1} << k;
-      pi_w[i] = w;
+      sim.good().set_input(i, w);
     }
     for (std::size_t i = 0; i < nff; ++i) {
       sim::Word w = 0;
       for (std::size_t k = 0; k < lanes; ++k)
         if (vectors[base + k].ppi[i]) w |= sim::Word{1} << k;
-      ppi_w[i] = w;
+      sim.good().set_state(i, w);
     }
+    sim.commit_good();
     const sim::Word active =
         lanes == 64 ? ~sim::Word{0} : ((sim::Word{1} << lanes) - 1);
-    // Each shard owns a disjoint fault range and writes counts[i] directly:
-    // a pure function of the fault index, so the totals are identical for
-    // every thread count.
-    util::parallel_for_shards(
-        faults.size(), sims.max_shards(),
-        [&](std::size_t shard, std::size_t b, std::size_t e) {
-          fault::DiffSim& sim = sims.at(shard);
-          for (std::size_t i = 0; i < npi; ++i)
-            sim.good().set_input(i, pi_w[i]);
-          for (std::size_t i = 0; i < nff; ++i)
-            sim.good().set_state(i, ppi_w[i]);
-          sim.commit_good();
-          for (std::size_t i = b; i < e; ++i)
-            counts[i] += static_cast<std::uint32_t>(
-                std::popcount(sim.simulate(faults[i]).any() & active));
+    sim.simulate_regions(
+        std::span<const fault::Fault>(faults),
+        [&](std::size_t i, const fault::DiffSim::Effect& eff) {
+          counts[i] +=
+              static_cast<std::uint32_t>(std::popcount(eff.any() & active));
         });
   }
   return counts;

@@ -1,12 +1,12 @@
 #include "vcomp/core/stitch_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "vcomp/atpg/fill.hpp"
 #include "vcomp/obs/obs.hpp"
 #include "vcomp/util/assert.hpp"
-#include "vcomp/util/parallel.hpp"
 
 namespace vcomp::core {
 
@@ -76,7 +76,7 @@ StitchEngine::StitchEngine(const netlist::Netlist& nl,
       engine_(atpg::make_engine(
           atpg::resolve_engine_kind(options.atpg_engine), eg_, *scoap_,
           {.podem = options.podem, .sat = options.sat})),
-      ssims_(eg_),
+      sim_(eg_),
       rng_(options.seed) {
   VCOMP_REQUIRE(eg_ != nullptr && scoap_ != nullptr && compact_ != nullptr,
                 "incomplete artifact set");
@@ -87,8 +87,6 @@ StitchEngine::StitchEngine(const netlist::Netlist& nl,
                 "baseline classification does not match fault list");
   order_ = target_order(opts_.selection, eg_, faults.faults(), opts_.hardness,
                         rng_, &baseline.vectors);
-  scored_.reserve(faults.size());
-  shard_scores_.resize(ssims_.max_shards());
   targetable_.assign(faults.size(), 0);
   for (std::size_t i = 0; i < faults.size(); ++i)
     if (baseline.classes[i] == atpg::FaultClass::Detected) targetable_[i] = 1;
@@ -230,40 +228,36 @@ std::optional<StitchEngine::Candidate> StitchEngine::generate(
   }
 
   // MostFaults: complete every cube several ways and score all completions
-  // in one 64-way pattern-parallel fault-simulation pass.
+  // in one 64-way pattern-parallel region call.  Each completion is filled
+  // straight into its lane of the stimulus words, drawing the X bits in
+  // fill_cube's order (candidate by candidate, PIs then cells), and only
+  // the winner becomes a TestVector.
   const obs::Span span("stitch.score", m.scoring_seconds,
                        prof.scoring_seconds);
-  std::vector<Candidate> cands;
-  for (const auto& tc : cubes) {
-    for (std::uint32_t f = 0; f < opts_.fills_per_cube && cands.size() < 64;
-         ++f) {
-      Candidate c;
-      c.vector = atpg::fill_cube(tc.cube, atpg::FillMode::Random, rng_);
-      c.target = tc.target;
-      cands.push_back(std::move(c));
+  const std::size_t npi = nl_->num_inputs();
+  const std::size_t L = nl_->num_dffs();
+  pi_w_.assign(npi, 0);
+  ppi_w_.assign(L, 0);
+  std::array<std::uint32_t, 64> lane_cube;
+  std::size_t lanes = 0;
+  auto fill = [&](std::span<const Trit> trits, std::vector<Word>& words) {
+    for (std::size_t i = 0; i < trits.size(); ++i)
+      if (trits[i] == Trit::One)
+        words[i] |= Word{1} << lanes;
+      else if (trits[i] == Trit::X)
+        words[i] |= Word{rng_.bit()} << lanes;
+  };
+  for (std::size_t ci = 0; ci < cubes.size(); ++ci)
+    for (std::uint32_t f = 0; f < opts_.fills_per_cube && lanes < 64; ++f) {
+      fill(cubes[ci].cube.pi, pi_w_);
+      fill(cubes[ci].cube.ppi, ppi_w_);
+      lane_cube[lanes++] = static_cast<std::uint32_t>(ci);
     }
-  }
-
-  pi_w_.resize(nl_->num_inputs());
-  ppi_w_.resize(nl_->num_dffs());
-  for (std::size_t i = 0; i < nl_->num_inputs(); ++i) {
-    Word w = 0;
-    for (std::size_t k = 0; k < cands.size(); ++k)
-      if (cands[k].vector.pi[i]) w |= Word{1} << k;
-    pi_w_[i] = w;
-  }
-  for (std::size_t i = 0; i < nl_->num_dffs(); ++i) {
-    Word w = 0;
-    for (std::size_t k = 0; k < cands.size(); ++k)
-      if (cands[k].vector.ppi[i]) w |= Word{1} << k;
-    ppi_w_[i] = w;
-  }
 
   // Approximate per-flat-position observability for the scoring pass: a
   // single difference at position p of chain c is visible within that
   // chain's plan[c] shift cycles iff some tap t >= p lies within plan[c]
   // steps.  (The commit path uses the exact, cancellation-aware check.)
-  const std::size_t L = nl_->num_dffs();
   observed_pos_.assign(L, 0);
   for (std::size_t c = 0; c < fabric_.num_chains(); ++c) {
     const std::size_t s = plan[c];
@@ -279,64 +273,54 @@ std::optional<StitchEngine::Candidate> StitchEngine::generate(
   // The sets track every fault but the proven redundancies, so their
   // uncaught list is the set to score.
   constexpr std::size_t kScoreSampleCap = 4096;
-  scored_.assign(sets.uncaught().begin(), sets.uncaught().end());
-  if (scored_.size() > kScoreSampleCap) {
-    const std::size_t stride = scored_.size() / kScoreSampleCap + 1;
-    std::size_t out = 0;
-    for (std::size_t k = 0; k < scored_.size(); k += stride)
-      scored_[out++] = scored_[k];
-    scored_.resize(out);
-  }
+  const std::vector<std::uint32_t>& uncaught = sets.uncaught();
+  const std::size_t stride =
+      uncaught.size() > kScoreSampleCap ? uncaught.size() / kScoreSampleCap + 1
+                                        : 1;
+  scored_.clear();
+  for (std::size_t k = 0; k < uncaught.size(); k += stride)
+    scored_.push_back((*faults_)[uncaught[k]]);
 
-  // Score all completions against the (sampled) uncaught set, sharded over
-  // the thread pool: each shard drives a private DiffSim loaded with the
-  // same 64-candidate stimulus and accumulates its own score array; the
-  // shard arrays are then summed.  Per-fault contributions are pure
-  // functions of the fault index, so the totals are identical for every
-  // thread count.
-  std::vector<std::uint32_t> score(cands.size(), 0);
-  const Word active =
-      cands.size() == 64 ? ~Word{0} : ((Word{1} << cands.size()) - 1);
-  // Shards with an empty range never run, so drop last cycle's counts.
-  for (auto& sc : shard_scores_) sc.clear();
-  util::parallel_for_shards(
-      scored_.size(), ssims_.max_shards(),
-      [&](std::size_t shard, std::size_t b, std::size_t e) {
-        fault::DiffSim& sim = ssims_.at(shard);
-        for (std::size_t i = 0; i < pi_w_.size(); ++i)
-          sim.good().set_input(i, pi_w_[i]);
-        for (std::size_t i = 0; i < ppi_w_.size(); ++i)
-          sim.good().set_state(i, ppi_w_[i]);
-        sim.commit_good();
-        auto& sc = shard_scores_[shard];
-        sc.assign(cands.size(), 0);
-        for (std::size_t n_i = b; n_i < e; ++n_i) {
-          const std::size_t i = scored_[n_i];
-          const auto eff = sim.simulate((*faults_)[i]);
-          Word obs = eff.po_any;
-          Word hid = 0;
-          for (const auto& d : eff.ppo_diffs) {
-            const std::size_t p = fabric_.flat_of(d.dff_index);
-            (observed_pos_[p] ? obs : hid) |= d.diff;
-          }
-          Word any = (obs | hid) & active;
-          if (any == 0) continue;
-          obs &= active;
-          for (int k = std::countr_zero(any); any != 0;
-               any &= any - 1, k = std::countr_zero(any))
-            sc[static_cast<std::size_t>(k)] +=
-                ((obs >> k) & 1) ? kObservedWeight : kHiddenWeight;
+  // Score all completions against the (sampled) uncaught set in one
+  // region call; per-fault contributions are pure functions of the fault,
+  // and the call does not depend on the thread count.
+  for (std::size_t i = 0; i < npi; ++i) sim_.good().set_input(i, pi_w_[i]);
+  for (std::size_t i = 0; i < L; ++i) sim_.good().set_state(i, ppi_w_[i]);
+  sim_.commit_good();
+  std::array<std::uint32_t, 64> score{};
+  const Word active = lanes == 64 ? ~Word{0} : ((Word{1} << lanes) - 1);
+  sim_.simulate_regions(
+      std::span<const fault::Fault>(scored_),
+      [&](std::size_t, const fault::DiffSim::Effect& eff) {
+        Word obs = eff.po_any;
+        Word hid = 0;
+        for (const auto& d : eff.ppo_diffs) {
+          const std::size_t p = fabric_.flat_of(d.dff_index);
+          (observed_pos_[p] ? obs : hid) |= d.diff;
+        }
+        Word any = (obs | hid) & active;
+        obs &= active;
+        for (; any != 0; any &= any - 1) {
+          const int k = std::countr_zero(any);
+          score[static_cast<std::size_t>(k)] +=
+              ((obs >> k) & 1) ? kObservedWeight : kHiddenWeight;
         }
       });
-  for (const auto& sc : shard_scores_)
-    for (std::size_t k = 0; k < sc.size(); ++k) score[k] += sc[k];
 
   std::size_t best = 0;
-  for (std::size_t k = 1; k < cands.size(); ++k)
+  for (std::size_t k = 1; k < lanes; ++k)
     if (score[k] > score[best]) best = k;
-  prof.candidates_scored += cands.size();
-  m.candidates_scored.add(cands.size());
-  return std::move(cands[best]);
+  prof.candidates_scored += lanes;
+  m.candidates_scored.add(lanes);
+  Candidate c;
+  c.target = cubes[lane_cube[best]].target;
+  c.vector.pi.resize(npi);
+  c.vector.ppi.resize(L);
+  for (std::size_t i = 0; i < npi; ++i)
+    c.vector.pi[i] = static_cast<std::uint8_t>((pi_w_[i] >> best) & 1);
+  for (std::size_t i = 0; i < L; ++i)
+    c.vector.ppi[i] = static_cast<std::uint8_t>((ppi_w_[i] >> best) & 1);
+  return c;
 }
 
 StitchResult StitchEngine::run() {
@@ -506,16 +490,16 @@ void StitchEngine::run_into(StitchResult& res) {
     // Cover the leftovers with traditional vectors drawn from the baseline
     // pool, greedily with fault dropping: a pool vector is kept iff it is
     // the first, in pool order, to detect some leftover fault.
-    // first_detections runs 64 pool vectors per pass, sharded over the
-    // leftover faults; catches commute, so the kept vectors, catches and
-    // counters are identical for every thread count.
+    // first_detections runs one region call over the open leftover faults
+    // per 64 pool vectors, so the kept vectors, catches and counters are
+    // identical for every thread count.
     const obs::Span span("stitch.drop", stitch_metrics().drop_seconds,
                          prof.terminal_seconds);
     std::vector<const TestVector*> pool;
     for (const auto& bv : baseline_->vectors) pool.push_back(&bv);
     std::vector<fault::Fault> leftover;
     for (std::size_t i : remaining) leftover.push_back((*faults_)[i]);
-    const auto first = atpg::first_detections(ssims_, pool, leftover);
+    const auto first = atpg::first_detections(sim_, pool, leftover);
     std::vector<std::uint8_t> useful(pool.size(), 0);
     for (std::size_t n = 0; n < remaining.size(); ++n) {
       VCOMP_ENSURE(first[n] != atpg::kNoDetection,

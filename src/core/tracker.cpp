@@ -185,8 +185,7 @@ CycleStats StitchTracker::apply(const TestVector& v,
   {
     // The classify span also times the fault-free apply and capture: shard
     // 0 classifies on that same simulation.  Uncaught faults held the same
-    // chain content as the fault-free machine, so they saw exactly v and
-    // run with empty differences.
+    // chain content as the fault-free machine, so they saw exactly v.
     const obs::Span span("tracker.classify", m.classify_seconds,
                          profile_.classify_seconds);
     load_stimulus(*sim0_, v);
@@ -198,14 +197,16 @@ CycleStats StitchTracker::apply(const TestVector& v,
     state_.capture(ppo_ff_, capture_);
     const std::vector<std::uint32_t>& uncaught = sets_.uncaught();
     classified = uncaught.size();
-    run_lanes(v, uncaught, st);
+    classify_regions(uncaught);
+    apply_verdicts(uncaught, st);
   }
   profile_.faults_classified += classified;
 
   {
     const obs::Span span("tracker.advance", m.advance_seconds,
                          profile_.advance_seconds);
-    run_lanes(v, advance_, st);
+    advance_lanes(v);
+    apply_verdicts(advance_, st);
   }
   profile_.hidden_advanced += advance_.size();
   m.cycles.inc();
@@ -231,12 +232,28 @@ std::size_t StitchTracker::catch_observed(const scan::ShiftPlan& plan) {
   return observe_list_.size();
 }
 
-void StitchTracker::run_lanes(const TestVector& v,
-                              std::span<const std::uint32_t> work,
-                              CycleStats& st) {
-  // Lanes are fixed 64-fault blocks of the work list and shards take whole
+void StitchTracker::classify_regions(std::span<const std::uint32_t> work) {
+  // One region call over the whole list against sim0_'s committed vector:
+  // a broadcast stimulus, so every answer is all lanes or none.
+  if (verdicts_.size() < work.size()) verdicts_.resize(work.size());
+  sim0_->simulate_regions(
+      *model_, work, [&](std::size_t n, const fault::DiffSim::Effect& eff) {
+        Verdict& vd = verdicts_[n];
+        vd.caught = eff.po_any != 0;
+        vd.diff.clear();
+        if (vd.caught) return;
+        for (const auto& d : eff.ppo_diffs)
+          vd.diff.push_back(
+              static_cast<std::uint32_t>(fabric_.flat_of(d.dff_index)));
+        std::sort(vd.diff.begin(), vd.diff.end());
+      });
+}
+
+void StitchTracker::advance_lanes(const TestVector& v) {
+  // Lanes are fixed 64-fault blocks of the list and shards take whole
   // blocks, so the passes, and with them the diffsim counters, are the
   // same for every thread count.
+  const std::span<const std::uint32_t> work = advance_;
   if (verdicts_.size() < work.size()) verdicts_.resize(work.size());
   constexpr std::size_t kLanes = fault::DiffSim::kLanes;
   const std::size_t blocks = (work.size() + kLanes - 1) / kLanes;
@@ -258,10 +275,9 @@ void StitchTracker::run_lanes(const TestVector& v,
             const std::uint32_t i = work[base + k];
             lane_faults[k] = &model_->mapped(i);
             verdicts_[base + k].diff.clear();
-            if (sets_.state(i) == FaultState::Hidden)
-              for (std::uint32_t p : sets_.hidden().at(i))
-                flipped.push_back({fabric_.dff_at_flat(p),
-                                   static_cast<std::uint32_t>(k)});
+            for (std::uint32_t p : sets_.hidden().at(i))
+              flipped.push_back(
+                  {fabric_.dff_at_flat(p), static_cast<std::uint32_t>(k)});
           }
           const auto eff = sim.simulate_lanes(
               std::span<const fault::MappedFault* const>(lane_faults.data(),
@@ -281,6 +297,10 @@ void StitchTracker::run_lanes(const TestVector& v,
           }
         }
       });
+}
+
+void StitchTracker::apply_verdicts(std::span<const std::uint32_t> work,
+                                   CycleStats& st) {
   for (std::size_t n = 0; n < work.size(); ++n) {
     const std::uint32_t i = work[n];
     Verdict& vd = verdicts_[n];

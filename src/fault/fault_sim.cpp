@@ -1,6 +1,8 @@
 #include "vcomp/fault/fault_sim.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "vcomp/obs/metrics.hpp"
 #include "vcomp/util/assert.hpp"
@@ -15,13 +17,16 @@ using sim::Word;
 
 namespace {
 
-// Added once per pass (never batched across passes): simulations counts
-// the faults a pass carries, so a fault-lane pass adds its lane count.
-// Per-thread sinks make the immediate add cheap, and pass-granular updates
-// keep the totals independent of how callers shard work across threads.
+// Added once per call (never batched across calls): simulations counts
+// the faults a call reports on, so a fault-lane pass adds its lane count
+// and a region call its list length.  Per-thread sinks make the immediate
+// add cheap, and call-granular updates keep the totals independent of how
+// callers shard work across threads.
 struct DiffSimMetrics {
   obs::Counter simulations = obs::counter("diffsim.simulations");
   obs::Counter events = obs::counter("diffsim.events");
+  obs::Counter region_roots = obs::counter("diffsim.region_roots");
+  obs::Counter region_blocked = obs::counter("diffsim.region_blocked");
 };
 
 const DiffSimMetrics& diffsim_metrics() {
@@ -124,20 +129,15 @@ void DiffSim::add_fault(const MappedFault& mf, Word mask) {
 }
 
 DiffSim::Effect DiffSim::simulate(const Fault& f) {
+  diffsim_metrics().simulations.inc();
   add_fault(f, ~Word{0});
-  return run_pass(1);
+  return run_pass();
 }
 
 DiffSim::Effect DiffSim::simulate_mapped(const MappedFault& mf) {
+  diffsim_metrics().simulations.inc();
   add_fault(mf, ~Word{0});
-  return run_pass(1);
-}
-
-DiffSim::Effect DiffSim::simulate_lanes(std::span<const Fault> faults) {
-  VCOMP_REQUIRE(faults.size() <= kLanes, "a fault-lane pass holds 64 faults");
-  for (std::size_t k = 0; k < faults.size(); ++k)
-    add_fault(faults[k], Word{1} << k);
-  return run_pass(faults.size());
+  return run_pass();
 }
 
 DiffSim::Effect DiffSim::simulate_lanes(
@@ -151,9 +151,10 @@ DiffSim::Effect DiffSim::simulate_lanes(
     const GateId g = eg_->dffs()[fc.dff_index];
     add_force(g, -1, Word{1} << fc.lane, ~good_.values()[g]);
   }
+  diffsim_metrics().simulations.add(faults.size());
   for (std::size_t k = 0; k < faults.size(); ++k)
     add_fault(*faults[k], Word{1} << k);
-  return run_pass(faults.size());
+  return run_pass();
 }
 
 Word DiffSim::eval_forced(const GateForce& gf) const {
@@ -178,9 +179,7 @@ bool DiffSim::dff_pin_forced(std::uint32_t dff) const {
   return slot != kNone && gate_forces_[slot].first_pin != kNone;
 }
 
-DiffSim::Effect DiffSim::run_pass(std::size_t faults) {
-  const DiffSimMetrics& metrics = diffsim_metrics();
-  metrics.simulations.add(faults);
+DiffSim::Effect DiffSim::run_pass() {
   reset_deltas();
   ppo_out_.clear();
   Effect effect;
@@ -254,7 +253,7 @@ DiffSim::Effect DiffSim::run_pass(std::size_t faults) {
     bucket.clear();
   }
   VCOMP_DASSERT(pending_events_ == 0, "events left after propagation");
-  metrics.events.add(drained);
+  diffsim_metrics().events.add(drained);
 
   // Harvest observation points from the touched set.  A flip-flop whose
   // data pin is forced in some lanes captures the forced value there, so
@@ -279,6 +278,246 @@ DiffSim::Effect DiffSim::run_pass(std::size_t faults) {
   }
   effect.ppo_diffs = ppo_out_;
   return effect;
+}
+
+// ---- region calls ---------------------------------------------------------
+
+namespace {
+
+/// The force sites and stuck value of a plain or a mapped fault.
+std::span<const MappedSite> sites_of(const Fault& f, MappedSite& one) {
+  one = {f.gate, f.pin};
+  return {&one, 1};
+}
+std::span<const MappedSite> sites_of(const MappedFault* mf, MappedSite&) {
+  return mf->sites;
+}
+std::uint8_t stuck_of(const Fault& f) { return f.stuck; }
+std::uint8_t stuck_of(const MappedFault* mf) { return mf->stuck; }
+
+}  // namespace
+
+Word DiffSim::pin_sensitivity(GateId g, std::uint32_t pin) const {
+  const Word* good = good_.values().data();
+  const auto fanin = eg_->fanin(g);
+  const Word flipped =
+      sim::word_eval_fused(eg_->type(g), fanin.size(), [&](std::size_t p) {
+        const Word x = good[fanin[p]];
+        return p == pin ? ~x : x;
+      });
+  return flipped ^ good[g];
+}
+
+Word DiffSim::path_lanes(GateId g) {
+  // Critical path tracing: only one pin differs on the way up, so a gate
+  // passes the flip in the lanes where it is sensitive to that pin.  Walk
+  // up to the root or to a gate this call already knows, then fill the
+  // walked gates top-down.
+  const EvalGraph& eg = *eg_;
+  chain_.clear();
+  GateId u = g;
+  while (eg.interior(u) && memo_[u].stamp != stamp_) {
+    chain_.push_back(u);
+    u = eg.region_reader(u);
+  }
+  Word lanes = eg.interior(u) ? memo_[u].lanes : ~Word{0};
+  for (auto it = chain_.rbegin(); it != chain_.rend(); ++it) {
+    if (lanes != 0)
+      lanes &= pin_sensitivity(eg.region_reader(*it), eg.region_pin(*it));
+    memo_[*it] = {.stamp = stamp_, .slot = 0, .lanes = lanes};
+  }
+  return lanes;
+}
+
+void DiffSim::keep_pass(std::uint32_t slot, const Effect& eff) {
+  Slot& s = slots_[slot];
+  s.po = eff.po_any;
+  s.begin = static_cast<std::uint32_t>(slot_ppo_.size());
+  slot_ppo_.insert(slot_ppo_.end(), eff.ppo_diffs.begin(),
+                   eff.ppo_diffs.end());
+  s.end = static_cast<std::uint32_t>(slot_ppo_.size());
+}
+
+void DiffSim::split_lanes(const Effect& eff, std::uint32_t first,
+                          std::size_t count) {
+  std::array<std::uint32_t, kLanes> per_lane{};
+  for (const PpoDiff& d : eff.ppo_diffs)
+    for (Word bits = d.diff; bits != 0; bits &= bits - 1)
+      ++per_lane[std::countr_zero(bits)];
+  auto at = static_cast<std::uint32_t>(slot_ppo_.size());
+  for (std::size_t k = 0; k < count; ++k) {
+    Slot& s = slots_[first + k];
+    s.po = (eff.po_any >> k) & 1 ? ~Word{0} : Word{0};
+    s.begin = s.end = at;
+    at += per_lane[k];
+  }
+  slot_ppo_.resize(at);
+  for (const PpoDiff& d : eff.ppo_diffs)
+    for (Word bits = d.diff; bits != 0; bits &= bits - 1)
+      slot_ppo_[slots_[first + std::countr_zero(bits)].end++] = {
+          d.dff_index, ~Word{0}};
+}
+
+template <typename List>
+void DiffSim::trace_regions(const List& faults) {
+  const EvalGraph& eg = *eg_;
+  const DiffSimMetrics& metrics = diffsim_metrics();
+  metrics.simulations.add(faults.size());
+  if (memo_.empty()) memo_.resize(eg.num_gates());
+  if (++stamp_ == 0) {  // wrapped: forget every mark
+    std::fill(memo_.begin(), memo_.end(), Memo{});
+    stamp_ = 1;
+  }
+  answered_.assign(faults.size(), 0);
+  answers_.clear();
+  slots_.clear();
+  roots_.clear();
+  multi_.clear();
+
+  // A broadcast stimulus holds one vector in every lane, so every fault
+  // reaches its root in all lanes or in none, and lane k of a pass is free
+  // to carry root k.
+  const Word* good = good_.values().data();
+  broadcast_ = true;
+  for (const auto sources : {eg.inputs(), eg.dffs()})
+    for (GateId g : sources)
+      broadcast_ &= good[g] == 0 || good[g] == ~Word{0};
+
+  std::size_t blocked = 0;
+  MappedSite one;
+  for (std::size_t n = 0; n < faults.size(); ++n) {
+    const auto sites = sites_of(faults[n], one);
+    const Word stuck = stuck_of(faults[n]) != 0 ? ~Word{0} : Word{0};
+    const auto fault = static_cast<std::uint32_t>(n);
+    if (sites.size() != 1) {
+      if (sites.size() > 1) multi_.push_back(fault);
+      continue;  // no site: no effect
+    }
+    const GateId g = sites[0].gate;
+    const std::int16_t pin = sites[0].pin;
+    Word lanes;
+    if (pin < 0) {
+      lanes = good[g] ^ stuck;
+    } else {
+      const GateId src = eg.fanin(g)[static_cast<std::size_t>(pin)];
+      lanes = good[src] ^ stuck;
+      if (eg.type(g) == GateType::Dff) {  // perturbs the captured bit only
+        if (lanes != 0) {
+          answered_[n] = 1;
+          answers_.push_back({lanes, fault, kCaptured | eg.dff_index_of(g)});
+        }
+        continue;
+      }
+      if (lanes != 0)
+        lanes &= pin_sensitivity(g, static_cast<std::uint32_t>(pin));
+    }
+    if (lanes != 0 && eg.interior(g))
+      lanes &= path_lanes(g);
+    if (lanes == 0) {
+      ++blocked;
+      continue;
+    }
+    const GateId root = eg.region_root(g);
+    Memo& at_root = memo_[root];
+    if (at_root.stamp != stamp_) {
+      at_root = {.stamp = stamp_,
+                 .slot = static_cast<std::uint32_t>(roots_.size()),
+                 .lanes = 0};
+      roots_.push_back(root);
+      slots_.emplace_back();
+    }
+    slots_[at_root.slot].lanes |= lanes;
+    answered_[n] = 1;
+    answers_.push_back({lanes, fault, at_root.slot});
+  }
+  for (const std::uint32_t n : multi_) {
+    answered_[n] = 1;
+    answers_.push_back(
+        {~Word{0}, n, static_cast<std::uint32_t>(slots_.size())});
+    slots_.push_back({.lanes = ~Word{0}});
+  }
+  metrics.region_roots.add(roots_.size());
+  metrics.region_blocked.add(blocked);
+
+  // Group the answers by slot (a counting sort, list order within a
+  // slot), the data-pin faults first.
+  auto group = [](std::uint32_t slot) {
+    return (slot & kCaptured) != 0 ? 0 : slot + 1;
+  };
+  slot_first_.assign(slots_.size() + 2, 0);
+  for (const Answer& a : answers_) ++slot_first_[group(a.slot) + 1];
+  for (std::size_t k = 1; k < slot_first_.size(); ++k)
+    slot_first_[k] += slot_first_[k - 1];
+  by_slot_.resize(answers_.size());
+  for (std::size_t i = 0; i < answers_.size(); ++i)
+    by_slot_[slot_first_[group(answers_[i].slot)]++] =
+        static_cast<std::uint32_t>(i);
+  // slot_first_[k] now ends group k: slot k's answers start there, and the
+  // data-pin faults at 0.
+  wave_ = {by_slot_.data(), slot_first_[0]};
+  next_slot_ = 0;
+}
+
+template <typename List>
+bool DiffSim::next_wave(const List& faults) {
+  const auto num_slots = static_cast<std::uint32_t>(slots_.size());
+  if (next_slot_ == num_slots) return false;
+  const Word* good = good_.values().data();
+  const auto num_roots = static_cast<std::uint32_t>(roots_.size());
+  const std::uint32_t first = next_slot_;
+  const std::uint32_t limit = first < num_roots ? num_roots : num_slots;
+  const std::uint32_t count =
+      std::min<std::uint32_t>(broadcast_ ? kLanes : 1, limit - first);
+  MappedSite one;
+  for (std::uint32_t k = 0; k < count; ++k) {
+    // A pass flips each root in its lanes, or forces each fault's sites.
+    const Word mask = broadcast_ ? Word{1} << k : ~Word{0};
+    const std::uint32_t slot = first + k;
+    if (slot < num_roots) {
+      add_force(roots_[slot], -1, mask & slots_[slot].lanes,
+                ~good[roots_[slot]]);
+      continue;
+    }
+    const auto& f = faults[multi_[slot - num_roots]];
+    for (const MappedSite& site : sites_of(f, one))
+      add_force(site.gate, site.pin, mask,
+                stuck_of(f) != 0 ? mask : Word{0});
+  }
+  slot_ppo_.clear();
+  const Effect eff = run_pass();
+  if (broadcast_)
+    split_lanes(eff, first, count);
+  else
+    keep_pass(first, eff);
+  next_slot_ = first + count;
+  wave_ = {by_slot_.data() + slot_first_[first],
+           slot_first_[next_slot_] - slot_first_[first]};
+  return true;
+}
+
+template void DiffSim::trace_regions(const std::span<const Fault>&);
+template void DiffSim::trace_regions(
+    const std::span<const MappedFault* const>&);
+template void DiffSim::trace_regions(const ModelFaults&);
+template bool DiffSim::next_wave(const std::span<const Fault>&);
+template bool DiffSim::next_wave(const std::span<const MappedFault* const>&);
+template bool DiffSim::next_wave(const ModelFaults&);
+
+DiffSim::Effect DiffSim::effect_of(const Answer& a) {
+  if ((a.slot & kCaptured) != 0) {
+    masked_.assign(1, {a.slot & ~kCaptured, a.lanes});
+    return {0, masked_};
+  }
+  const Slot& s = slots_[a.slot];
+  const std::span<const PpoDiff> ppo(slot_ppo_.data() + s.begin,
+                                     s.end - s.begin);
+  if (a.lanes == s.lanes) return {s.po, ppo};
+  // The slot also answers other faults of the root, in other lanes.
+  masked_.clear();
+  for (const PpoDiff& d : ppo)
+    if (const Word w = d.diff & a.lanes; w != 0)
+      masked_.push_back({d.dff_index, w});
+  return {s.po & a.lanes, masked_};
 }
 
 DiffSimShards::DiffSimShards(EvalGraph::Ref graph, std::size_t max_shards)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <utility>
 
 #include "vcomp/serve/job.hpp"
@@ -137,6 +138,8 @@ ArtifactRegistry::LabRef ArtifactRegistry::get_or_build(
       it->second.last_access = tick_;
       fut = it->second.fut;
       ++stats_.hits;
+    } else if (!build) {
+      return nullptr;
     } else {
       evict_for_insert_locked();
       Entry e;
@@ -170,37 +173,39 @@ ArtifactRegistry::LabRef ArtifactRegistry::get_or_build(
   return fut.get();
 }
 
-ArtifactRegistry::LabRef ArtifactRegistry::lab_for_spec(const std::string& spec,
-                                                        bool full_scale) {
+ArtifactRegistry::LabRef ArtifactRegistry::lab_for_spec(
+    const std::string& spec, bool full_scale, const NetlistCheck& check) {
   const std::string memo_key = circuit_label(spec, full_scale);
-  auto build = [&memo_key](netlist::Netlist nl) {
-    return std::make_shared<const core::CircuitLab>(memo_key, std::move(nl));
-  };
 
   // Spec → hash memo: a repeat spec goes straight to the cache key, so a
-  // *hit* never re-synthesizes the circuit (the builder below only runs
-  // again if the entry was evicted).
+  // *hit* never re-synthesizes the circuit.
+  std::optional<NetlistHash> known;
   {
-    std::unique_lock<std::mutex> lk(m_);
+    const std::lock_guard<std::mutex> lk(m_);
     const auto it = spec_memo_.find(memo_key);
-    if (it != spec_memo_.end()) {
-      const NetlistHash h = it->second;
-      lk.unlock();  // get_or_build re-takes the mutex itself
-      return get_or_build(
-          h, [&] { return build(load_circuit(spec, full_scale)); });
+    if (it != spec_memo_.end()) known = it->second;
+  }
+  if (known) {
+    if (LabRef lab = get_or_build(*known, {})) {
+      if (check) check(lab->netlist());
+      return lab;
     }
   }
 
-  // First sighting: materialize the netlist to learn its hash, under the
-  // ambient scope so a job's counters never include circuit synthesis.
+  // First sighting, or an evicted entry: materialize the netlist to learn
+  // its hash and check the job, under the ambient scope so a job's
+  // counters never include circuit synthesis.
   const util::ScopedTaskContext ambient({});
   netlist::Netlist nl = load_circuit(spec, full_scale);
+  if (check) check(nl);
   const NetlistHash h = canonical_netlist_hash(nl);
   {
     const std::lock_guard<std::mutex> lk(m_);
     spec_memo_[memo_key] = h;
   }
-  return get_or_build(h, [&] { return build(std::move(nl)); });
+  return get_or_build(h, [&] {
+    return std::make_shared<const core::CircuitLab>(memo_key, std::move(nl));
+  });
 }
 
 ArtifactRegistry::LabRef ArtifactRegistry::lab_for_netlist(

@@ -118,9 +118,13 @@ void Server::run_job(Job& job) {
   std::string result_line;
   try {
     // Artifact resolution runs under the registry's ambient scope — the
-    // job's counter window opens strictly around the stitched run.
-    const ArtifactRegistry::LabRef lab =
-        registry_.lab_for_spec(job.spec.circuit, job.spec.full_scale);
+    // job's counter window opens strictly around the stitched run.  Bad
+    // sizes fail on the netlist, before a lab is built or fetched.
+    const ArtifactRegistry::LabRef lab = registry_.lab_for_spec(
+        job.spec.circuit, job.spec.full_scale,
+        [&job](const netlist::Netlist& nl) {
+          (void)checked_options(nl, job.spec);
+        });
     const JobRun run = run_spec(
         *lab, job.spec,
         [this, &job](const std::string& line) { emit(job.sink, line); },

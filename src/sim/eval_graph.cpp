@@ -1,5 +1,7 @@
 #include "vcomp/sim/eval_graph.hpp"
 
+#include <algorithm>
+
 #include "vcomp/util/assert.hpp"
 
 namespace vcomp::sim {
@@ -74,6 +76,28 @@ EvalGraph::EvalGraph(const netlist::Netlist& nl) : nl_(&nl) {
   }
   while (prev + 1 < level_off_.size())
     level_off_[++prev] = static_cast<std::uint32_t>(schedule_.size());
+
+  // Fanout-free regions.  fanout() lists one entry per reading pin, so a
+  // gate with a single entry has a single reader pin.  A reader sits at a
+  // strictly higher level than the gates it reads, so walking the schedule
+  // backwards, then the sources, settles every reader's root first.
+  regions_.resize(n);
+  for (GateId g = 0; g < n; ++g) regions_[g].root = g;
+  auto settle = [&](GateId g) {
+    const auto out = fanout(g);
+    if (out.size() != 1 || is_po_[g] != 0) return;
+    const GateId r = out[0];
+    if (type_[r] == GateType::Dff) return;
+    const auto in = fanin(r);
+    regions_[g] = {
+        .reader = r,
+        .pin = static_cast<std::uint32_t>(std::find(in.begin(), in.end(), g) -
+                                          in.begin()),
+        .root = regions_[r].root};
+  };
+  for (auto it = schedule_.rbegin(); it != schedule_.rend(); ++it) settle(*it);
+  for (GateId g : nl.inputs()) settle(g);
+  for (GateId g : nl.dffs()) settle(g);
 }
 
 }  // namespace vcomp::sim

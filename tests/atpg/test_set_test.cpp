@@ -184,8 +184,8 @@ TEST(TestSet, FirstDetectionsMatchesOneVectorLoop) {
   EXPECT_GT(in_last_pass, 0u);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     const util::ScopedParallelism scoped(threads);
-    fault::DiffSimShards sims(sim::EvalGraph::compile(nl));
-    EXPECT_EQ(first_detections(sims, walk, cf.faults()), want)
+    fault::DiffSim sim(sim::EvalGraph::compile(nl));
+    EXPECT_EQ(first_detections(sim, walk, cf.faults()), want)
         << threads << " threads";
   }
 }

@@ -1,7 +1,7 @@
 // High-volume differential test of the word-parallel ADI computation: on
 // thousands of small random scenarios, check::check_adi compares
-// core::adi_counts (64 vectors per pattern-parallel pass, sharded over the
-// thread pool) against its naive per-(vector, fault) reference.  This is
+// core::adi_counts (one DiffSim region call per 64 vectors) against its
+// naive per-(vector, fault) reference.  This is
 // the same oracle vcomp_fuzz chains into run_oracles; here it runs alone so
 // the case budget can be much larger than a full fuzz sweep's.
 

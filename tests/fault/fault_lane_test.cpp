@@ -233,18 +233,22 @@ TEST(DiffSimLanes, PlainFaultsMatchTheirPatternLanes) {
   Rng rng(9);
   const Stimulus s = random_stimulus(*ds.graph(), rng, true);
   load(ds, s);
-  std::array<Fault, 64> block;
+  // A plain fault rides a lane as its single-site mapped form.
+  std::array<MappedFault, 64> block;
+  std::array<const MappedFault*, 64> lanes;
   for (std::size_t base = 0; base < cf.size(); base += 64) {
     const std::size_t count = std::min<std::size_t>(64, cf.size() - base);
     std::vector<LaneEffect> want;
     for (std::size_t k = 0; k < count; ++k) {
-      block[k] = cf[base + k];
-      want.push_back(lane_of(ds.simulate(block[k]), k, nl.num_dffs()));
+      const Fault& f = cf[base + k];
+      block[k] = {{{f.gate, f.pin}}, f.stuck};
+      lanes[k] = &block[k];
+      want.push_back(lane_of(ds.simulate(f), k, nl.num_dffs()));
     }
-    const auto eff = ds.simulate_lanes({block.data(), count});
+    const auto eff = ds.simulate_lanes({lanes.data(), count});
     for (std::size_t k = 0; k < count; ++k)
       EXPECT_EQ(lane_of(eff, k, nl.num_dffs()), want[k])
-          << fault_name(nl, block[k]);
+          << fault_name(nl, cf[base + k]);
   }
 }
 
@@ -339,10 +343,11 @@ TEST(DiffSimLanes, CountsOneSimulationPerFault) {
   const SmallCircuit sc;
   DiffSim ds(sc.nl);
   load(ds, Stimulus{{~Word{0}, 0, ~Word{0}}, {0, ~Word{0}}});
-  const std::vector<Fault> faults(5, Fault{sc.g1, -1, 0});
+  const MappedFault g1_sa0{{{sc.g1, -1}}, 0};
+  const std::vector<const MappedFault*> faults(5, &g1_sa0);
   const auto counters = obs::scoped_counters([&] {
     (void)ds.simulate_lanes(faults);
-    (void)ds.simulate(faults[0]);
+    (void)ds.simulate_mapped(g1_sa0);
   });
   EXPECT_EQ(counters.get("diffsim.simulations"), 6u);
 }
@@ -350,7 +355,8 @@ TEST(DiffSimLanes, CountsOneSimulationPerFault) {
 TEST(DiffSimLanes, RejectsMoreThan64Faults) {
   const SmallCircuit sc;
   DiffSim ds(sc.nl);
-  const std::vector<Fault> faults(65, Fault{sc.g1, -1, 0});
+  const MappedFault g1_sa0{{{sc.g1, -1}}, 0};
+  const std::vector<const MappedFault*> faults(65, &g1_sa0);
   EXPECT_THROW((void)ds.simulate_lanes(faults), ContractError);
 }
 

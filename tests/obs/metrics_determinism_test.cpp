@@ -82,21 +82,24 @@ TEST(MetricsDeterminism, TrackerWalkSnapshotThreadCountInvariant) {
 }
 
 TEST(MetricsDeterminism, DiffSimCountersThreadCountInvariantOnClassify) {
-  // Classify and advance run one fault-lane pass per fixed 64-fault block
-  // of their lists, and shards take whole blocks, so the diffsim counters
-  // (events included) cannot depend on how many shards split the list.
-  // s1423 classifies thousands of faults per cycle: dozens of blocks.
+  // Classify is one region call over the uncaught list, and advance runs
+  // one fault-lane pass per fixed 64-fault block of the hidden faults, so
+  // the diffsim counters (events and the region counters included) cannot
+  // depend on how many shards split the list.  s1423 classifies thousands
+  // of faults per cycle: dozens of blocks.
   obs::set_metrics_enabled(true);
   const obs::CounterSet one = walk_snapshot(1, "s1423");
   for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
     const obs::CounterSet other = walk_snapshot(threads, "s1423");
-    EXPECT_EQ(other.get("diffsim.simulations"),
-              one.get("diffsim.simulations"))
-        << threads << " threads";
-    EXPECT_EQ(other.get("diffsim.events"), one.get("diffsim.events"))
-        << threads << " threads";
+    for (const char* name :
+         {"diffsim.simulations", "diffsim.events", "diffsim.region_roots",
+          "diffsim.region_blocked"})
+      EXPECT_EQ(other.get(name), one.get(name))
+          << name << " at " << threads << " threads";
     EXPECT_EQ(other, one) << threads << " threads";
   }
+  EXPECT_GT(one.get("diffsim.region_roots"), 0u);
+  EXPECT_GT(one.get("diffsim.region_blocked"), 0u);
   EXPECT_GT(one.get("tracker.faults_classified"),
             64u * 4u * one.get("tracker.cycles"));
   EXPECT_EQ(one.get("diffsim.simulations"),

@@ -195,6 +195,50 @@ TEST(Server, BadJobEmitsErrorAndServerSurvives) {
   EXPECT_TRUE(saw_result);
 }
 
+TEST(Server, BadSizeFailsBeforeAnyLabIsBuilt) {
+  // The daemon checks sizes on the loaded netlist, as the CLI does, so a
+  // rejected job builds no lab (no baseline ATPG) and caches nothing.
+  Server server;
+  std::vector<std::string> events;
+  const Server::Sink sink = [&events](const std::string& line) {
+    events.push_back(line);
+  };
+  ASSERT_TRUE(server.handle_line(
+      "{\"op\":\"submit\",\"id\":\"big\",\"circuit\":\"gen:s444\","
+      "\"config\":{\"shift\":99999}}",
+      sink));
+  server.drain();
+  std::string message;
+  for (const std::string& e : events) {
+    const auto j = Json::parse(e);
+    ASSERT_TRUE(j.has_value()) << e;
+    EXPECT_NE(j->find("event")->as_string(), "result") << e;
+    if (j->find("event")->as_string() == "error")
+      message = j->find("message")->as_string();
+  }
+  EXPECT_EQ(message, "shift 99999 exceeds the circuit's 21 scan cells");
+  const ArtifactRegistry::Stats st = server.registry().stats();
+  EXPECT_EQ(st.misses, 0u);
+  EXPECT_EQ(st.hits, 0u);
+  EXPECT_EQ(server.registry().size(), 0u);
+
+  // A good job on the same circuit builds it once; a bad one after it is
+  // checked against the cached lab's netlist and leaves the cache alone.
+  for (const char* line :
+       {"{\"op\":\"submit\",\"id\":\"ok\",\"circuit\":\"gen:s444\"}",
+        "{\"op\":\"submit\",\"id\":\"big2\",\"circuit\":\"gen:s444\","
+        "\"config\":{\"chains\":99}}"}) {
+    ASSERT_TRUE(server.handle_line(line, sink));
+    server.drain();
+  }
+  EXPECT_EQ(server.registry().stats().misses, 1u);
+  EXPECT_EQ(server.registry().size(), 1u);
+  EXPECT_NE(events.back().find("chains 99 exceeds the circuit's 21 scan "
+                               "cells"),
+            std::string::npos)
+      << events.back();
+}
+
 TEST(Server, ControlOps) {
   Server server;
   std::vector<std::string> events;

@@ -145,6 +145,73 @@ TEST(EvalGraph, MirrorsBuilderNetlistExactly) {
   }
 }
 
+/// Checks the region arrays against their definition, computed from the
+/// builder netlist's fanin lists alone: a gate is interior iff exactly one
+/// pin of any gate reads it, it is no primary output and that pin is no
+/// flip-flop's; its root is the first non-interior gate down the readers.
+void expect_regions_match_definition(const Netlist& nl) {
+  const auto eg = EvalGraph::compile(nl);
+  struct Pin {
+    GateId gate;
+    std::uint32_t pin;
+  };
+  std::vector<std::vector<Pin>> readers(nl.num_gates());
+  for (GateId h = 0; h < nl.num_gates(); ++h)
+    for (std::uint32_t p = 0; p < nl.gate(h).fanin.size(); ++p)
+      readers[nl.gate(h).fanin[p]].push_back({h, p});
+  std::vector<std::uint8_t> po(nl.num_gates(), 0);
+  for (GateId o : nl.outputs()) po[o] = 1;
+  auto interior = [&](GateId g) {
+    return readers[g].size() == 1 && po[g] == 0 &&
+           nl.gate(readers[g][0].gate).type != GateType::Dff;
+  };
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    SCOPED_TRACE(nl.gate(g).name);
+    ASSERT_EQ(eg->interior(g), interior(g));
+    GateId root = g;
+    while (interior(root)) root = readers[root][0].gate;
+    EXPECT_EQ(eg->region_root(g), root);
+    if (!interior(g)) {
+      EXPECT_EQ(eg->region_reader(g), netlist::kNoGate);
+      continue;
+    }
+    EXPECT_EQ(eg->region_reader(g), readers[g][0].gate);
+    EXPECT_EQ(eg->region_pin(g), readers[g][0].pin);
+  }
+}
+
+TEST(EvalGraph, RegionsMatchTheirDefinition) {
+  for (const char* name : {"s444", "s526", "s1423", "s5378"}) {
+    SCOPED_TRACE(name);
+    expect_regions_match_definition(circuit(name, 7));
+  }
+  // Hand-built edges: t is read on both pins of one gate, p is a primary
+  // output with one reader, f feeds only a flip-flop, and the PI s and the
+  // flip-flop q feed one pin each.
+  Netlist nl;
+  const GateId a = nl.add_input("a");
+  const GateId b = nl.add_input("b");
+  const GateId s = nl.add_input("s");
+  const GateId q = nl.add_dff("q");
+  const GateId t = nl.add_gate(GateType::And, "t", {a, b});
+  const GateId d = nl.add_gate(GateType::Xor, "d", {t, t});
+  const GateId p = nl.add_gate(GateType::Nand, "p", {a, b});
+  const GateId r = nl.add_gate(GateType::Or, "r", {p, b});
+  const GateId f = nl.add_gate(GateType::Nor, "f", {a, b});
+  const GateId u = nl.add_gate(GateType::And, "u", {s, q});
+  const GateId n = nl.add_gate(GateType::Not, "n", {u});
+  nl.set_dff_input(q, f);
+  for (GateId o : {d, p, r, n}) nl.mark_output(o);
+  nl.finalize();
+  expect_regions_match_definition(nl);
+  const auto eg = EvalGraph::compile(nl);
+  EXPECT_FALSE(eg->interior(t));
+  EXPECT_FALSE(eg->interior(p));
+  EXPECT_FALSE(eg->interior(f));
+  EXPECT_EQ(eg->region_root(s), n);
+  EXPECT_EQ(eg->region_root(q), n);
+}
+
 // ---- golden equivalence: good-circuit simulators --------------------------
 
 TEST(EvalGraphGolden, WordSimMatchesNaiveReference) {

@@ -13,7 +13,12 @@ Two kinds of field:
 * timings -- "seconds", "*_seconds", "*_per_sec" and "speedup" -- drift
   with the machine, so they are judged with a +/-tolerance and reported as
   soft warnings (CI shared runners are noisy); the exit code stays 0
-  unless --strict is given;
+  unless --strict is given.  Timings compare only between runs at the
+  same thread count (the files' "threads" fields): the benches time their
+  rows side by side when the pool has several threads, so a 4-thread run
+  against a 1-thread baseline measures contention, not the code.  On a
+  mismatch one note is printed and the timings are skipped (an error
+  under --strict);
 * everything else -- the paper numbers (m, t, tv, ex, paper_best_m), the
   workload shape (gates, lanes, ...), the per-row "counters" objects and
   the serve bench's canonical result "row" -- is deterministic by
@@ -111,6 +116,16 @@ def main():
     tol = args.tolerance
     regressions = []
     mismatches = []
+    fresh_threads = fresh_doc.get("threads")
+    base_threads = base_doc.get("threads")
+    same_threads = fresh_threads == base_threads
+    if not same_threads:
+        message = (f"fresh run used {fresh_threads} threads, baseline "
+                   f"{base_threads}; timings not compared")
+        if args.strict:
+            annotate("error", f"bench thread mismatch: {message}")
+        else:
+            print(f"note: {message}")
     for key in shared:
         frow, brow = fresh[key], base[key]
         label = "/".join(str(k) for k in key)
@@ -125,7 +140,8 @@ def main():
         for field in sorted((set(brow) | set(frow)) - {"counters"}):
             bval, fval = brow.get(field), frow.get(field)
             if is_timing(field):
-                r = timing_regression(label, field, fval, bval, tol)
+                r = same_threads and timing_regression(label, field, fval,
+                                                       bval, tol)
                 if r:
                     regressions.append(r)
             elif fval != bval:
@@ -145,8 +161,10 @@ def main():
                         f"{label} counters.{name}: {fval} vs baseline "
                         f"{bval} (exact match required)")
 
+    timings = (f"timings at ±{tol * 100:.0f}% tolerance" if same_threads
+               else "timings skipped")
     print(f"compared {len(shared)} rows: exact fields and counters, "
-          f"timings at ±{tol * 100:.0f}% tolerance")
+          f"{timings}")
     for r in regressions:
         annotate("warning", f"bench regression: {r}")
     for m in mismatches:
@@ -172,7 +190,7 @@ def main():
                      "(learned-schedule acceptance gate)")
             return 1
 
-    if mismatches:
+    if mismatches or (args.strict and not same_threads):
         return 1
     return 1 if (regressions and args.strict) else 0
 
